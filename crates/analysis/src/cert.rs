@@ -322,6 +322,16 @@ pub fn check(text: &str) -> Result<CheckedCert, CertError> {
     {
         return Err(CertError::Walk("head prologues differ".to_string()));
     }
+    // Dispatch temporaries are the only registers a walk writes without
+    // tracing the write, so they must be registers the original lacks:
+    // otherwise the two versions could reach a traced instruction, or a
+    // branch walked both ways, with different values in one register.
+    if dispatch_temps < original.num_regs {
+        return Err(CertError::Walk(format!(
+            "dispatch temporaries from r{dispatch_temps} overlap the original's {} registers",
+            original.num_regs
+        )));
+    }
 
     // 7. Representative concrete walks: for every class, walk both
     //    versions at each interval's lo, hi, and midpoint.
@@ -402,6 +412,36 @@ struct WalkResult {
     first_exit: Option<BlockId>,
 }
 
+/// Why a concrete walk stopped short of a [`WalkResult`].
+enum WalkError {
+    /// A branch on condition codes the walk cannot evaluate, with no
+    /// decision left for it.
+    Undecided,
+    /// The walk cannot go on.
+    Stuck(String),
+}
+
+impl From<&str> for WalkError {
+    fn from(d: &str) -> WalkError {
+        WalkError::Stuck(d.to_string())
+    }
+}
+
+impl std::fmt::Display for WalkError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            WalkError::Undecided => {
+                write!(f, "branch on condition codes the checker cannot evaluate")
+            }
+            WalkError::Stuck(d) => f.write_str(d),
+        }
+    }
+}
+
+/// Most decision vectors one representative value may need: the
+/// duplicated tails the emitter produces hold a handful of branches.
+const MAX_DECISION_PATHS: usize = 64;
+
 /// Concretely walk `f` from `(start, start_inst)` with the tested
 /// variable bound to `value`, collecting the side-effect trace, until a
 /// stop condition fires: in replica mode (`boundary = Some(b)`)
@@ -410,7 +450,10 @@ struct WalkResult {
 /// numbered `>= temps` are dispatch temporaries: a `sub` of the tested
 /// variable into one is evaluated concretely (and kept out of the
 /// trace, like the compares) so a following indirect jump can be
-/// followed through its table.
+/// followed through its table. A branch on condition codes the walk
+/// cannot evaluate (set by a compare of other state, which is in the
+/// trace) goes the way the next entry of `decisions` says, and the
+/// outcome joins the trace too.
 #[allow(clippy::too_many_arguments)]
 fn concrete_walk(
     f: &Function,
@@ -422,7 +465,9 @@ fn concrete_walk(
     boundary: Option<u32>,
     stop: Option<&WalkEnd>,
     exits: &BTreeSet<BlockId>,
-) -> Result<WalkResult, String> {
+    decisions: &[bool],
+) -> Result<WalkResult, WalkError> {
+    let mut decisions = decisions.iter();
     // Condition codes: the operand values of the last compare, when the
     // walker can evaluate it (a compare of the intact tested variable
     // against a constant); `None` otherwise.
@@ -463,7 +508,9 @@ fn concrete_walk(
         }
         entered = true;
         if block.index() >= f.blocks.len() {
-            return Err(format!("walk entered nonexistent block {block}"));
+            return Err(WalkError::Stuck(format!(
+                "walk entered nonexistent block {block}"
+            )));
         }
         let b = f.block(block);
         for inst in &b.insts[at..] {
@@ -517,15 +564,15 @@ fn concrete_walk(
                 if taken == not_taken {
                     block = *taken;
                 } else {
-                    let (l, r) = cc.ok_or(
-                        "branch on condition codes the checker cannot \
-                                           evaluate",
-                    )?;
-                    block = if eval_cond(*cond, l, r) {
-                        *taken
-                    } else {
-                        *not_taken
+                    let holds = match cc {
+                        Some((l, r)) => eval_cond(*cond, l, r),
+                        None => {
+                            let &d = decisions.next().ok_or(WalkError::Undecided)?;
+                            trace.push(format!("branch {cond:?} {d}"));
+                            d
+                        }
                     };
+                    block = if holds { *taken } else { *not_taken };
                 }
             }
             Terminator::Return(op) => {
@@ -543,10 +590,10 @@ fn concrete_walk(
                     .ok()
                     .filter(|&s| s < targets.len())
                     .ok_or_else(|| {
-                        format!(
+                        WalkError::Stuck(format!(
                             "indirect jump index {slot} outside table of {} slots",
                             targets.len()
-                        )
+                        ))
                     })?;
                 block = targets[slot];
             }
@@ -582,61 +629,88 @@ fn check_value(
     target: BlockId,
 ) -> Result<(), CertError> {
     let werr = |d: String| CertError::Walk(format!("value {value}: {d}"));
-    let new = concrete_walk(
-        reordered,
-        head,
-        prologue,
-        var,
-        value,
-        dispatch_temps,
-        Some(replica_start),
-        None,
-        exits,
-    )
-    .map_err(|d| werr(format!("reordered: {d}")))?;
-    // The original never contains emitter-created dispatch temporaries.
-    let old = concrete_walk(
-        original,
-        head,
-        prologue,
-        var,
-        value,
-        u32::MAX,
-        None,
-        Some(&new.end),
-        exits,
-    )
-    .map_err(|d| werr(format!("original: {d}")))?;
-    // The original must pass through the declared exit first (or come
-    // to rest exactly there).
-    let reached = old.first_exit.or(match old.end {
-        WalkEnd::Block(b) if exits.contains(&b) => Some(b),
-        _ => None,
-    });
-    if reached != Some(target) {
-        return Err(werr(format!(
-            "original reaches exit {}, certificate declares {target}",
-            reached.map_or("<none>".to_string(), |b| b.to_string()),
-        )));
-    }
-    if old.end != new.end {
-        return Err(werr(format!(
-            "versions come to rest at different points: {:?} vs {:?}",
-            old.end, new.end
-        )));
-    }
-    if old.trace != new.trace {
-        let at = old
-            .trace
-            .iter()
-            .zip(&new.trace)
-            .position(|(a, b)| a != b)
-            .unwrap_or(old.trace.len().min(new.trace.len()));
-        return Err(werr(format!(
-            "side-effect traces diverge at step {at}: {:?} vs {:?}",
-            old.trace.get(at),
-            new.trace.get(at)
-        )));
+    // Branches the walks cannot evaluate (the emitter's duplicated copy
+    // of the default exit's code tests other state) go both ways: every
+    // decision vector the replica needs is walked through both versions,
+    // and the two must agree on each.
+    let mut pending: Vec<Vec<bool>> = vec![Vec::new()];
+    let mut walked = 0usize;
+    while let Some(decisions) = pending.pop() {
+        walked += 1;
+        if walked > MAX_DECISION_PATHS {
+            return Err(werr(format!(
+                "more than {MAX_DECISION_PATHS} paths through branches the checker \
+                 cannot evaluate"
+            )));
+        }
+        let new = match concrete_walk(
+            reordered,
+            head,
+            prologue,
+            var,
+            value,
+            dispatch_temps,
+            Some(replica_start),
+            None,
+            exits,
+            &decisions,
+        ) {
+            Ok(new) => new,
+            Err(WalkError::Undecided) => {
+                for d in [true, false] {
+                    let mut longer = decisions.clone();
+                    longer.push(d);
+                    pending.push(longer);
+                }
+                continue;
+            }
+            Err(e) => return Err(werr(format!("reordered: {e}"))),
+        };
+        // The original never contains emitter-created dispatch temporaries.
+        let old = concrete_walk(
+            original,
+            head,
+            prologue,
+            var,
+            value,
+            u32::MAX,
+            None,
+            Some(&new.end),
+            exits,
+            &decisions,
+        )
+        .map_err(|e| werr(format!("original: {e}")))?;
+        // The original must pass through the declared exit first (or come
+        // to rest exactly there).
+        let reached = old.first_exit.or(match old.end {
+            WalkEnd::Block(b) if exits.contains(&b) => Some(b),
+            _ => None,
+        });
+        if reached != Some(target) {
+            return Err(werr(format!(
+                "original reaches exit {}, certificate declares {target}",
+                reached.map_or("<none>".to_string(), |b| b.to_string()),
+            )));
+        }
+        if old.end != new.end {
+            return Err(werr(format!(
+                "versions come to rest at different points: {:?} vs {:?}",
+                old.end, new.end
+            )));
+        }
+        if old.trace != new.trace {
+            let at = old
+                .trace
+                .iter()
+                .zip(&new.trace)
+                .position(|(a, b)| a != b)
+                .unwrap_or(old.trace.len().min(new.trace.len()));
+            return Err(werr(format!(
+                "side-effect traces diverge at step {at}: {:?} vs {:?}",
+                old.trace.get(at),
+                new.trace.get(at)
+            )));
+        }
     }
     Ok(())
 }

@@ -569,6 +569,21 @@ mod tests {
             crate::cert::check(&tampered),
             Err(crate::cert::CertError::Walk(_))
         ));
+
+        // Walks write dispatch temporaries untraced, so a re-signed
+        // `temps` line that lets them alias the original's registers
+        // must be refused too.
+        let temps = format!("\ntemps {}\n", f.num_regs);
+        let aliased_body = body.replace(&temps, "\ntemps 0\n");
+        assert_ne!(aliased_body, body, "temps line must exist: {body}");
+        let aliased = format!(
+            "{aliased_body}sig {:016x}\n",
+            crate::cert::fingerprint(&aliased_body)
+        );
+        assert!(matches!(
+            crate::cert::check(&aliased),
+            Err(crate::cert::CertError::Walk(d)) if d.contains("dispatch temporaries")
+        ));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! discovery. Used by loop-invariant code motion in `br-opt` and
 //! available for any client analysis.
 
-use std::collections::HashSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::cfg::{predecessors, reverse_postorder};
 use crate::function::{BlockId, Function};
@@ -100,8 +100,8 @@ fn intersect(idom: &[Option<BlockId>], order: &[usize], mut a: BlockId, mut b: B
 pub struct NaturalLoop {
     /// Loop header (dominates every block of the loop).
     pub header: BlockId,
-    /// All blocks of the loop, header included.
-    pub blocks: HashSet<BlockId>,
+    /// All blocks of the loop, header included, in block-id order.
+    pub blocks: BTreeSet<BlockId>,
 }
 
 impl NaturalLoop {
@@ -114,7 +114,7 @@ impl NaturalLoop {
 /// Find the natural loops of `f`. Loops sharing a header are merged (as
 /// in classical loop analysis); results are ordered by header id.
 pub fn natural_loops(f: &Function, doms: &Dominators) -> Vec<NaturalLoop> {
-    let mut by_header: std::collections::BTreeMap<BlockId, HashSet<BlockId>> = Default::default();
+    let mut by_header: BTreeMap<BlockId, BTreeSet<BlockId>> = Default::default();
     for b in f.block_ids() {
         if doms.idom[b.index()].is_none() {
             continue; // unreachable

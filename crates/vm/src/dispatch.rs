@@ -38,6 +38,7 @@
 use br_ir::{BinOp, Callee, Cond, Inst, Intrinsic, Module, Operand, PlanKind, Terminator, UnOp};
 
 use crate::machine::{intrinsic_step, RunOutcome, VmOptions};
+use crate::memory::Memory;
 use crate::predictor::Predictor;
 use crate::stats::ExecStats;
 use crate::trap::Trap;
@@ -574,7 +575,7 @@ const REG_BUF: usize = 64;
 
 struct FastState<'a> {
     opts: &'a VmOptions,
-    memory: Vec<i64>,
+    memory: Memory,
     frame_top: i64,
     input: &'a [u8],
     input_pos: usize,
@@ -602,13 +603,13 @@ struct FastState<'a> {
 /// does.
 pub fn run_image(image: &Image, input: &[u8], opts: &VmOptions) -> Result<RunOutcome, Trap> {
     let main = image.main.ok_or(Trap::NoMain)?;
-    let mut memory = vec![0i64; image.globals_end as usize + opts.stack_words];
-    for (at, init) in &image.globals {
-        memory[*at..*at + init.len()].copy_from_slice(init);
-    }
     let mut st = FastState {
         opts,
-        memory,
+        memory: Memory::new(
+            image.globals_end,
+            opts.stack_words,
+            image.globals.iter().map(|(at, init)| (*at, &init[..])),
+        ),
         frame_top: image.globals_end,
         input,
         input_pos: 0,
@@ -709,13 +710,8 @@ fn exec(st: &mut FastState<'_>, image: &Image, func: usize, args: &[i64]) -> Res
     st.depth += 1;
     let f = &image.functions[func];
     let frame_base = st.frame_top;
-    if frame_base as usize + f.frame_size as usize > st.memory.len() {
-        return Err(Trap::StackOverflow { depth: st.depth });
-    }
+    st.memory.frame(frame_base, f.frame_size, st.depth)?.fill(0);
     st.frame_top += f.frame_size as i64;
-    for w in &mut st.memory[frame_base as usize..(frame_base + f.frame_size as i64) as usize] {
-        *w = 0;
-    }
     let mut reg_buf = [0i64; REG_BUF];
     let mut reg_heap: Vec<i64>;
     let regs: &mut [i64] = if f.num_regs as usize <= REG_BUF {
@@ -774,24 +770,24 @@ fn exec(st: &mut FastState<'_>, image: &Image, func: usize, args: &[i64]) -> Res
                 Op::Cmp { lhs, rhs } => cc = Some((src(regs, *lhs), src(regs, *rhs))),
                 Op::LoadRR { dst, base, index } => {
                     let addr = regs[*base as usize].wrapping_add(regs[*index as usize]);
-                    if addr < 0 || addr as usize >= st.memory.len() {
-                        break 'run Err(Trap::MemoryOutOfBounds { addr });
+                    match st.memory.load(addr) {
+                        Ok(v) => regs[*dst as usize] = v,
+                        Err(t) => break 'run Err(t),
                     }
-                    regs[*dst as usize] = st.memory[addr as usize];
                 }
                 Op::LoadRI { dst, base, off } => {
                     let addr = regs[*base as usize].wrapping_add(*off);
-                    if addr < 0 || addr as usize >= st.memory.len() {
-                        break 'run Err(Trap::MemoryOutOfBounds { addr });
+                    match st.memory.load(addr) {
+                        Ok(v) => regs[*dst as usize] = v,
+                        Err(t) => break 'run Err(t),
                     }
-                    regs[*dst as usize] = st.memory[addr as usize];
                 }
                 Op::Load { dst, base, index } => {
                     let addr = src(regs, *base).wrapping_add(src(regs, *index));
-                    if addr < 0 || addr as usize >= st.memory.len() {
-                        break 'run Err(Trap::MemoryOutOfBounds { addr });
+                    match st.memory.load(addr) {
+                        Ok(v) => regs[*dst as usize] = v,
+                        Err(t) => break 'run Err(t),
                     }
-                    regs[*dst as usize] = st.memory[addr as usize];
                 }
                 Op::StoreRR {
                     base,
@@ -799,17 +795,15 @@ fn exec(st: &mut FastState<'_>, image: &Image, func: usize, args: &[i64]) -> Res
                     src: s,
                 } => {
                     let addr = regs[*base as usize].wrapping_add(regs[*index as usize]);
-                    if addr < 0 || addr as usize >= st.memory.len() {
-                        break 'run Err(Trap::MemoryOutOfBounds { addr });
+                    if let Err(t) = st.memory.store(addr, src(regs, *s)) {
+                        break 'run Err(t);
                     }
-                    st.memory[addr as usize] = src(regs, *s);
                 }
                 Op::StoreRI { base, off, src: s } => {
                     let addr = regs[*base as usize].wrapping_add(*off);
-                    if addr < 0 || addr as usize >= st.memory.len() {
-                        break 'run Err(Trap::MemoryOutOfBounds { addr });
+                    if let Err(t) = st.memory.store(addr, src(regs, *s)) {
+                        break 'run Err(t);
                     }
-                    st.memory[addr as usize] = src(regs, *s);
                 }
                 Op::Store {
                     base,
@@ -817,10 +811,9 @@ fn exec(st: &mut FastState<'_>, image: &Image, func: usize, args: &[i64]) -> Res
                     src: s,
                 } => {
                     let addr = src(regs, *base).wrapping_add(src(regs, *index));
-                    if addr < 0 || addr as usize >= st.memory.len() {
-                        break 'run Err(Trap::MemoryOutOfBounds { addr });
+                    if let Err(t) = st.memory.store(addr, src(regs, *s)) {
+                        break 'run Err(t);
                     }
-                    st.memory[addr as usize] = src(regs, *s);
                 }
                 Op::FrameAddr { dst, offset } => regs[*dst as usize] = frame_base + offset,
                 Op::CallFunc { dst, func, args } => {

@@ -43,6 +43,7 @@
 mod counters;
 mod dispatch;
 mod machine;
+mod memory;
 pub mod predictor;
 mod stats;
 pub mod timing;

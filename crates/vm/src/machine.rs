@@ -2,6 +2,7 @@
 
 use br_ir::{Callee, Inst, Intrinsic, Module, Operand, Reg, Terminator};
 
+use crate::memory::Memory;
 use crate::predictor::{Predictor, PredictorConfig, PredictorResult};
 use crate::stats::ExecStats;
 use crate::trap::Trap;
@@ -14,6 +15,9 @@ pub struct VmOptions {
     /// Upper bound on call depth.
     pub max_call_depth: usize,
     /// Words of memory available for stack frames beyond the globals.
+    /// This is a limit, not an allocation: memory grows on demand up to
+    /// `globals_end + stack_words` words, and a frame or access past that
+    /// traps (`StackOverflow` / `MemoryOutOfBounds`).
     pub stack_words: usize,
     /// Predictor configurations to simulate during the run (all updated
     /// from the same branch stream, so a single execution yields a whole
@@ -88,7 +92,7 @@ pub struct RunOutcome {
 
 struct State<'m> {
     opts: &'m VmOptions,
-    memory: Vec<i64>,
+    memory: Memory,
     frame_top: i64,
     input: &'m [u8],
     input_pos: usize,
@@ -295,18 +299,20 @@ pub fn run_hooked(
 
 fn new_state<'m>(module: &Module, input: &'m [u8], opts: &'m VmOptions) -> State<'m> {
     let globals_end = module.globals_end();
-    let mut memory = vec![0i64; globals_end as usize + opts.stack_words];
-    for g in &module.globals {
-        let at = g.addr as usize;
-        memory[at..at + g.init.len()].copy_from_slice(&g.init);
-    }
     // Assign each block terminator a static address: cumulative instruction
     // offsets in storage (= layout) order, so predictor aliasing resembles
     // real code addresses.
     let layout = compute_layout(module);
     State {
         opts,
-        memory,
+        memory: Memory::new(
+            globals_end,
+            opts.stack_words,
+            module
+                .globals
+                .iter()
+                .map(|g| (g.addr as usize, &g.init[..])),
+        ),
         frame_top: globals_end,
         input,
         input_pos: 0,
@@ -365,27 +371,23 @@ fn exec_function(
     state.depth += 1;
     let f = &module.functions[func];
     let frame_base = state.frame_top;
-    if frame_base as usize + f.frame_size as usize > state.memory.len() {
-        return Err(Trap::StackOverflow { depth: state.depth });
+    let frame = state.memory.frame(frame_base, f.frame_size, state.depth)?;
+    if resume.is_none() {
+        // Local arrays start zeroed on every activation; a frame
+        // resumed after an epoch pause keeps its contents.
+        frame.fill(0);
     }
     state.frame_top += f.frame_size as i64;
 
     let (mut regs, mut cur, mut cc) = match resume {
         Some(r) => {
-            // Resuming after an epoch pause: the frame's memory is
-            // untouched (no zeroing), registers are restored — resized,
-            // since a hook swap may have grown the register file.
+            // Resuming after an epoch pause: registers are restored —
+            // resized, since a hook swap may have grown the register file.
             let mut regs = r.regs;
             regs.resize(f.num_regs as usize, 0);
             (regs, r.at, r.cc)
         }
         None => {
-            // Local arrays start zeroed on every activation.
-            for w in
-                &mut state.memory[frame_base as usize..(frame_base + f.frame_size as i64) as usize]
-            {
-                *w = 0;
-            }
             let mut regs = vec![0i64; f.num_regs as usize];
             for (reg, val) in f.param_regs.iter().zip(args) {
                 regs[reg.0 as usize] = *val;
@@ -446,19 +448,18 @@ fn exec_function(
                     state.stats.insts += 1;
                     state.stats.loads += 1;
                     let addr = operand(&regs, *base).wrapping_add(operand(&regs, *index));
-                    if addr < 0 || addr as usize >= state.memory.len() {
-                        break 'run Err(Trap::MemoryOutOfBounds { addr });
+                    match state.memory.load(addr) {
+                        Ok(v) => regs[dst.0 as usize] = v,
+                        Err(t) => break 'run Err(t),
                     }
-                    regs[dst.0 as usize] = state.memory[addr as usize];
                 }
                 Inst::Store { base, index, src } => {
                     state.stats.insts += 1;
                     state.stats.stores += 1;
                     let addr = operand(&regs, *base).wrapping_add(operand(&regs, *index));
-                    if addr < 0 || addr as usize >= state.memory.len() {
-                        break 'run Err(Trap::MemoryOutOfBounds { addr });
+                    if let Err(t) = state.memory.store(addr, operand(&regs, *src)) {
+                        break 'run Err(t);
                     }
-                    state.memory[addr as usize] = operand(&regs, *src);
                 }
                 Inst::FrameAddr { dst, offset } => {
                     state.stats.insts += 1;

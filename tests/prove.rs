@@ -197,6 +197,64 @@ fn checker_rejects_every_resigned_target_swap() {
     assert!(tried > 0, "certificate has no pair of distinct class exits");
 }
 
+/// The certificates of `workload`'s committed reorderings under `set`.
+fn certificates(workload: &str, set: HeuristicSet) -> Vec<String> {
+    let w = branch_reorder::workloads::by_name(workload).expect("workload exists");
+    let mut m = compile(w.source, &Options::with_heuristics(set)).expect("compiles");
+    branch_reorder::opt::optimize(&mut m);
+    let opts = ReorderOptions {
+        certify: true,
+        opt_tree: set.opt_tree,
+        ..ReorderOptions::default()
+    };
+    let report = reorder_module(&m, &w.training_input(1024), &opts).expect("pipeline runs");
+    let summary = report.validation.expect("certify mode validates");
+    assert!(summary.is_clean(), "{summary}");
+    summary.certificates.into_iter().map(|c| c.text).collect()
+}
+
+/// `deroff`'s replica duplicates the default exit's code, including a
+/// branch on state other than the tested variable, which the checker
+/// must walk both ways.
+#[test]
+fn checker_walks_duplicated_tail_branches_both_ways() {
+    let certs = certificates("deroff", HeuristicSet::SET_I);
+    assert!(!certs.is_empty(), "deroff commits a certified reordering");
+    let mut tried = 0usize;
+    for cert in &certs {
+        check(cert).unwrap_or_else(|e| panic!("pristine certificate rejected: {e}"));
+        let body = body_lines(cert);
+        let replica = body
+            .iter()
+            .find_map(|l| l.strip_prefix("replica "))
+            .expect("replica line");
+        let reordered = body
+            .iter()
+            .position(|l| l.starts_with("reordered "))
+            .expect("reordered section");
+        let first = (reordered..body.len())
+            .find(|&i| body[i].starts_with(&format!("b{replica}:")))
+            .expect("replica block");
+        // Every instruction and terminator of the replica, re-signed
+        // after a one-character edit, must be refused.
+        for i in first..body.len() - 1 {
+            if body[i].ends_with(':') {
+                continue;
+            }
+            let mut forged_body = body.clone();
+            forged_body[i] = mutate_line(&body[i]);
+            assert!(
+                check(&resign(&forged_body)).is_err(),
+                "re-signed replica edit {:?} -> {:?} was accepted",
+                body[i],
+                forged_body[i]
+            );
+            tried += 1;
+        }
+    }
+    assert!(tried > 0);
+}
+
 // ---------------------------------------------------------------------
 // Witness divergence properties.
 // ---------------------------------------------------------------------
