@@ -19,9 +19,10 @@
 //! * **Hot swapping** ([`runtime`]) — on drift, the sequence is
 //!   re-planned against the live profile and a fresh replica is spliced
 //!   in at the sequence head (a safe point the VM pauses at between
-//!   epochs). Every replica must pass the translation validator against
-//!   the pristine pre-swap function; a failed proof aborts the swap,
-//!   never the run.
+//!   epochs), through the pipeline's own `br_reorder::decide` and
+//!   `br_reorder::commit`. Every replica is certified against the
+//!   pristine pre-swap function; a failed proof aborts the swap, never
+//!   the run.
 //! * **Measurement** ([`report`]) — [`adapt_stream`] races the adaptive
 //!   runtime against a frozen train-once deployment and a per-phase
 //!   offline oracle over a phase-shifting input stream.

@@ -12,31 +12,25 @@
 //! the runtime folds the fresh counter deltas into per-sequence decayed
 //! counters, asks the [`DriftDetector`] whether the live distribution
 //! still matches the one the deployed ordering was selected under, and
-//! on drift re-plans with [`plan_for_profile`]. A new ordering is
-//! deployed only if it beats the *deployed* ordering's cost under the
-//! live profile by a margin, and only if it is *certified*: the first
-//! deployment of an ordering runs the symbolic equivalence prover
-//! against the pristine (pre-any-swap) function and caches the proof
-//! certificate it emits; re-deploying a previously proven ordering
-//! (the common case under oscillating drift) admits by *re-checking*
-//! the cached certificate with the independent checker —
+//! on drift re-plans with [`decide()`], the per-sequence step the offline
+//! pipeline runs too. A new ordering is deployed only if its chain cost
+//! beats the *deployed* ordering's under the live profile by a margin,
+//! and only through [`commit`] with a proof: the first deployment of an
+//! ordering is certified against the pristine (pre-any-swap) function
+//! and its certificate cached; re-deploying a previously proven
+//! ordering (the common case under oscillating drift) admits by
+//! *re-checking* the cached certificate with the independent checker —
 //! O(certificate) instead of a fresh proof. A refutation or a failed
 //! certificate check aborts the swap and leaves the function exactly
 //! as deployed, never the run.
 
 use std::collections::HashMap;
 
-use br_ir::{FuncId, Module, SeqId, Terminator};
-use br_reorder::apply::apply_reordering;
-use br_reorder::dispatch::{apply_dispatch, check_dispatch, emit_dispatch, plan_dispatch};
-use br_reorder::emit::emit_reordered;
+use br_ir::{FuncId, Module, SeqId};
 use br_reorder::profile::plan_ranges;
-use br_reorder::validate::check_ordering;
-use br_reorder::DispatchPlan;
 use br_reorder::{
-    certify_sequence, detect_all, instrument_module, plan_for_profile, profiles_from_run,
-    DetectedSequence, Ordering, SequenceCertificate, SequencePlan, SequenceProfile, Stage,
-    StageFailure,
+    commit, decide, detect_all, instrument_module, profiles_from_run, Decision, DetectedSequence,
+    Ordering, Proof, SequenceCertificate, SequenceProfile, StageFailure,
 };
 use br_vm::{EpochHook, RunOutcome, Trap, VmOptions};
 
@@ -58,10 +52,11 @@ pub struct AdaptOptions {
     pub exhaustive: bool,
     /// Heuristic Set IV at swap time: when the DP comparison tree or the
     /// jump table strictly beats the selected chain ordering under the
-    /// live profile, deploy that structure instead. Drift gating and the
-    /// `min_gain` comparison still run on chain costs (a conservative
-    /// overestimate of what actually gets deployed), so turning this on
-    /// can only lower the cost of an admitted swap, never admit more.
+    /// live profile, deploy that structure instead. The first deployment
+    /// gates on the deployed structure's cost, like the pipeline. Drift
+    /// gating and the `min_gain` comparison still run on chain costs (a
+    /// conservative overestimate of what actually gets deployed), so on
+    /// drift this can only lower the cost of an admitted swap.
     pub opt_tree: bool,
 }
 
@@ -94,14 +89,8 @@ struct SeqState {
     /// Currently deployed ordering; `None` means the original source
     /// order is still in place.
     deployed: Option<Ordering>,
-    /// Whether a replica has ever been spliced in (the head then has no
-    /// compare any more and re-swaps only retarget its jump).
-    swapped: bool,
-    /// Proof certificates for every ordering ever deployed on this
-    /// sequence, keyed by the ordering's content fingerprint. Emission
-    /// is deterministic in (sequence, items, ordering), so an ordering
-    /// proven once stays proven; re-deployments admit on a certificate
-    /// re-check instead of a fresh symbolic proof.
+    /// Proof certificates of every ordering deployed on this sequence,
+    /// keyed by [`ordering_key`]; re-deployments admit on a re-check.
     certs: HashMap<u64, SequenceCertificate>,
     /// Swaps admitted by a certificate re-check (no re-proof).
     cert_admissions: u64,
@@ -153,7 +142,6 @@ impl AdaptiveRuntime {
                     last_cum: vec![0; n],
                     detector: DriftDetector::new(None),
                     deployed: None,
-                    swapped: false,
                     certs: HashMap::new(),
                     cert_admissions: 0,
                     swaps: 0,
@@ -166,21 +154,18 @@ impl AdaptiveRuntime {
             let outcome = br_vm::run(&module, input, &opts.vm)?;
             let profiles = profiles_from_run(&ids, &outcome.profiles);
             for (s, profile) in seqs.iter_mut().zip(&profiles) {
-                if profile.total() == 0 {
+                let Some(decision) =
+                    decide(s.func, &s.seq, profile, opts.exhaustive, opts.opt_tree)
+                else {
                     continue;
-                }
+                };
                 // The training distribution is the selection basis even
                 // when the original order is kept: that decision, too,
                 // was made under it.
                 let counts_f: Vec<f64> = profile.counts.iter().map(|&c| c as f64).collect();
                 s.detector = DriftDetector::new(Some(normalize(&counts_f)));
-                let Some(plan) = plan_for_profile(&s.seq, profile, opts.exhaustive) else {
-                    continue;
-                };
-                if plan.improves()
-                    && try_swap(&mut module, &pristine, s, &plan, opts.opt_tree).is_ok()
-                {
-                    s.deployed = Some(plan.ordering);
+                if decision.improves() && try_swap(&mut module, &pristine, s, &decision).is_ok() {
+                    s.deployed = Some(decision.plan.ordering);
                 }
             }
         }
@@ -311,16 +296,21 @@ impl EpochHook for EpochController<'_> {
                 DriftDecision::Adopt => {}
             }
             let counts: Vec<u64> = s.decayed.iter().map(|&c| c.round() as u64).collect();
-            let Some(plan) =
-                plan_for_profile(&s.seq, &SequenceProfile { counts }, self.opts.exhaustive)
-            else {
+            let profile = SequenceProfile { counts };
+            let Some(decision) = decide(
+                s.func,
+                &s.seq,
+                &profile,
+                self.opts.exhaustive,
+                self.opts.opt_tree,
+            ) else {
                 continue;
             };
-            let deployed_cost = plan.cost_of_deployed(s.deployed.as_ref());
-            if plan.ordering.cost < deployed_cost * (1.0 - self.opts.min_gain)
-                && try_swap(module, self.pristine, s, &plan, self.opts.opt_tree).is_ok()
+            let deployed_cost = decision.plan.cost_of_deployed(s.deployed.as_ref());
+            if decision.plan.ordering.cost < deployed_cost * (1.0 - self.opts.min_gain)
+                && try_swap(module, self.pristine, s, &decision).is_ok()
             {
-                s.deployed = Some(plan.ordering);
+                s.deployed = Some(decision.plan.ordering);
                 mutated = true;
             }
             // Whether we swapped, aborted, or judged the deployed
@@ -333,181 +323,58 @@ impl EpochHook for EpochController<'_> {
     }
 }
 
-/// Content fingerprint of an ordering as it will be emitted: the items
-/// (ranges and targets) plus the selected emission order. Emission is a
-/// deterministic function of exactly these, so two swaps that agree here
-/// produce behaviourally identical replicas and can share a proof
-/// certificate.
-fn ordering_key(
-    items: &[br_reorder::OrderItem],
-    ordering: &Ordering,
-    dispatch: Option<&DispatchPlan>,
-) -> u64 {
-    let mut d = String::new();
-    for it in items {
-        d.push_str(&format!(
-            "{},{}->{};",
-            it.range.lo, it.range.hi, it.target.0
-        ));
-    }
-    d.push('|');
-    for &i in &ordering.explicit {
-        d.push_str(&format!("{i},"));
-    }
-    d.push('|');
-    for &i in &ordering.eliminated {
-        d.push_str(&format!("{i},"));
-    }
-    d.push_str(&format!("|{}", ordering.default_target.0));
-    // The dispatch plan itself is a deterministic function of the items
-    // (already hashed above) and the process-wide cost model, so the
-    // deployed structure kind is enough to separate the replicas.
-    if let Some(p) = dispatch {
-        d.push_str(&format!("|{}", p.structure()));
-    }
-    br_analysis::cert::fingerprint(&d)
+/// Content fingerprint of a decision as it will be emitted: the items'
+/// ranges and targets, the selected emission order, and the deployed
+/// structure kind. Two swaps that agree here share a proof certificate.
+fn ordering_key(decision: &Decision) -> u64 {
+    let Ordering {
+        explicit,
+        eliminated,
+        default_target,
+        ..
+    } = &decision.plan.ordering;
+    let items = decision.plan.items.iter();
+    let ranges: Vec<_> = items.map(|it| (it.range, it.target)).collect();
+    let structure = decision.dispatch.as_ref().map(|d| d.structure());
+    let key = format!("{ranges:?}|{explicit:?}|{eliminated:?}|{default_target}|{structure:?}");
+    br_analysis::cert::fingerprint(&key)
 }
 
-/// Splice one replica for `plan` into `f` (the live function) — the
-/// chain ordering, or the Set IV dispatch structure when one is given.
-fn splice(
-    f: &mut br_ir::Function,
-    s: &SeqState,
-    plan: &SequencePlan,
-    dispatch: Option<&DispatchPlan>,
-) {
-    if s.swapped {
-        // The head lost its compare at the first swap; later swaps only
-        // append a fresh replica and retarget the head's jump (the old
-        // replica becomes unreachable and is simply carried along).
-        let emitted = match dispatch {
-            Some(p) => emit_dispatch(f, &s.seq, &plan.items, p),
-            None => emit_reordered(f, &s.seq, &plan.items, &plan.ordering),
-        };
-        f.block_mut(s.seq.head).term = Terminator::Jump(emitted.entry);
-    } else {
-        match dispatch {
-            Some(p) => {
-                apply_dispatch(f, &s.seq, &plan.items, p);
-            }
-            None => {
-                apply_reordering(f, &s.seq, &plan.items, &plan.ordering);
-            }
-        }
-    }
-}
-
-/// Emit, splice, and certify one replica; on any failure the function
-/// is left exactly as it was.
-///
-/// Admission is proof-carrying: the first deployment of an ordering is
-/// proven equivalent to the *pristine* chain by the symbolic prover
-/// ([`certify_sequence`]), and the certificate it emits is cached under
-/// the ordering's fingerprint. Re-deploying the same ordering later —
-/// drift oscillating between two profiles is the common case — admits
-/// by running the independent certificate checker
-/// ([`br_analysis::cert::check`]) on the cached certificate instead of
-/// re-proving: O(certificate), no symbolic walk, no range enumeration.
+/// Deploy `decision` on the live function through [`commit`], which
+/// lays the replica out before the proof so the proof covers the
+/// laid-out code. The first deployment of an ordering is certified
+/// against the *pristine* chain (earlier replicas stay outside the
+/// proof's walk domain, so repeated swaps cannot compound error) and
+/// its certificate cached; a re-deployment — drift oscillating between
+/// two profiles — admits on a re-check of the cached certificate. On
+/// any failure the function is left exactly as it was.
 fn try_swap(
     module: &mut Module,
     pristine: &Module,
     s: &mut SeqState,
-    plan: &SequencePlan,
-    opt_tree: bool,
+    decision: &Decision,
 ) -> Result<(), StageFailure> {
-    if let Err(details) = check_ordering(&plan.items, &plan.ordering) {
-        s.aborted += 1;
-        return Err(StageFailure {
-            stage: Stage::Order,
-            func: s.func,
-            head: Some(s.seq.head),
-            details,
-        });
-    }
-    // Set IV: a comparison tree or jump table replaces the chain only
-    // when it is strictly cheaper under the live profile, and it passes
-    // the same structural check the offline pipeline runs before the
-    // prover ever sees it.
-    let dispatch = if opt_tree {
-        plan_dispatch(&plan.items).filter(|d| d.cost() + 1e-9 < plan.ordering.cost)
-    } else {
-        None
-    };
-    if let Some(d) = &dispatch {
-        if let Err(details) = check_dispatch(&plan.items, d) {
-            s.aborted += 1;
-            return Err(StageFailure {
-                stage: Stage::Order,
-                func: s.func,
-                head: Some(s.seq.head),
-                details,
-            });
-        }
-    }
-    let key = ordering_key(&plan.items, &plan.ordering, dispatch.as_ref());
-    if let Some(cert) = s.certs.get(&key) {
-        // Certificate re-check admission. A corrupted or forged
-        // certificate fails here, *before* the function is touched.
-        let ok = br_analysis::check(&cert.text).is_ok_and(|checked| checked.sig == cert.sig);
-        if !ok {
-            s.aborted += 1;
-            return Err(StageFailure {
-                stage: Stage::Emit,
-                func: s.func,
-                head: Some(s.seq.head),
-                details: vec![
-                    "[BR0301] cached proof certificate failed its independent re-check".to_string(),
-                ],
-            });
-        }
-        let f = module.function_mut(s.func);
-        let replica_start = f.blocks.len();
-        splice(f, s, plan, dispatch.as_ref());
-        br_layout::reposition_tail(f, replica_start);
-        s.cert_admissions += 1;
-        s.swapped = true;
-        s.swaps += 1;
-        return Ok(());
-    }
-    let f = module.function_mut(s.func);
-    let pre = f.clone();
-    let replica_start = f.blocks.len() as u32;
-    splice(f, s, plan, dispatch.as_ref());
-    // Chain the freshly appended replica along its fall-through edges
-    // *before* certification, so the proof covers the laid-out code.
-    // Only blocks at or above `replica_start` move; the head and every
-    // earlier block keep their ids, which live plans rely on.
-    br_layout::reposition_tail(f, replica_start as usize);
-    // Prove the new replica equivalent to the *pristine* chain. With
-    // `replica_start` at the pre-swap block count, earlier replicas are
-    // outside the walk domain, so repeated swaps cannot compound error.
-    match certify_sequence(s.func, pristine.function(s.func), f, &s.seq, replica_start) {
-        Ok(proof) => {
-            s.certs.insert(
-                key,
-                SequenceCertificate {
-                    func: s.func,
-                    head: s.seq.head,
-                    text: proof.certificate,
-                    sig: proof.sig,
-                },
-            );
-            s.swapped = true;
-            s.swaps += 1;
-            Ok(())
-        }
-        Err(refuted) => {
-            *module.function_mut(s.func) = pre;
-            s.aborted += 1;
-            Err(refuted.failure)
-        }
-    }
+    let key = ordering_key(decision);
+    let cached = s.certs.get(&key);
+    let readmit = cached.is_some();
+    let proof = cached.map_or(Proof::Certify, Proof::Recheck);
+    let (f, reference) = (module.function_mut(s.func), pristine.function(s.func));
+    let tail = br_layout::reposition_tail;
+    let committed = commit(f, Some(reference), &s.seq, decision, proof, tail)
+        .inspect_err(|_| s.aborted += 1)?;
+    s.certs
+        .extend(committed.certificate.map(|cert| (key, cert)));
+    s.cert_admissions += u64::from(readmit);
+    s.swaps += 1;
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use br_ir::Terminator;
     use br_minic::{compile, Options};
+    use br_reorder::{plan_for_profile, SequencePlan, Stage};
 
     const CLASSIFIER: &str = "
         int main() {
@@ -536,6 +403,11 @@ mod tests {
         plan_for_profile(&s.seq, &SequenceProfile { counts }, false).expect("nonzero profile")
     }
 
+    /// The chain decision for `plan`, as `decide` would make it.
+    fn chain(s: &SeqState, plan: SequencePlan) -> Decision {
+        Decision::new(s.func, &s.seq, plan, false)
+    }
+
     #[test]
     fn swapped_replica_tail_is_laid_out() {
         // After a certified swap, the appended replica must already be
@@ -551,8 +423,8 @@ mod tests {
         } = &mut rt;
         let s = &mut seqs[0];
         let replica_start = module.function(s.func).blocks.len();
-        let plan = some_plan(s);
-        try_swap(module, pristine, s, &plan, false).expect("swap validates");
+        let decision = chain(s, some_plan(s));
+        try_swap(module, pristine, s, &decision).expect("swap validates");
         let f = module.function(s.func);
         assert!(f.blocks.len() > replica_start, "replica appended");
         let mut again = f.clone();
@@ -581,7 +453,7 @@ mod tests {
         let s = &mut seqs[0];
         let mut plan = some_plan(s);
         plan.ordering.explicit = vec![0, 0];
-        let failure = try_swap(module, pristine, s, &plan, false).unwrap_err();
+        let failure = try_swap(module, pristine, s, &chain(s, plan)).unwrap_err();
         assert_eq!(failure.stage, Stage::Order);
         assert_eq!(module.function(s.func), before.function(s.func));
         assert_eq!(s.aborted, 1);
@@ -613,7 +485,7 @@ mod tests {
         let t = plan.items[i].target;
         plan.items[i].target = plan.items[j].target;
         plan.items[j].target = t;
-        let failure = try_swap(module, pristine, s, &plan, false).unwrap_err();
+        let failure = try_swap(module, pristine, s, &chain(s, plan)).unwrap_err();
         assert_eq!(failure.stage, Stage::Emit, "{failure}");
         assert_eq!(
             module.function(s.func),
@@ -637,9 +509,12 @@ mod tests {
             ..
         } = &mut rt;
         let s = &mut seqs[0];
-        let plan = some_plan(s);
-        try_swap(module, pristine, s, &plan, false).expect("first swap validates");
-        assert!(s.swapped);
+        let decision = chain(s, some_plan(s));
+        try_swap(module, pristine, s, &decision).expect("first swap validates");
+        assert!(matches!(
+            module.function(s.func).block(s.seq.head).term,
+            Terminator::Jump(_)
+        ));
         assert_eq!(s.certs.len(), 1, "first swap caches its certificate");
         assert_eq!(s.cert_admissions, 0, "first swap must prove, not re-check");
         // Re-swap with a different profile: the head now has no compare,
@@ -647,14 +522,15 @@ mod tests {
         // so a second proof.
         let n = plan_ranges(&s.seq).len();
         let counts: Vec<u64> = (1..=n as u64).collect();
-        let plan2 = plan_for_profile(&s.seq, &SequenceProfile { counts }, false).expect("nonzero");
-        try_swap(module, pristine, s, &plan2, false).expect("re-swap validates");
+        let profile = SequenceProfile { counts };
+        let decision2 = decide(s.func, &s.seq, &profile, false, false).expect("nonzero");
+        try_swap(module, pristine, s, &decision2).expect("re-swap validates");
         assert_eq!(s.swaps, 2);
         assert_eq!(s.aborted, 0);
         assert_eq!(s.certs.len(), 2);
         // Oscillate back to the first ordering: it was already proven,
         // so admission is a certificate re-check, not a fresh proof.
-        try_swap(module, pristine, s, &plan, false).expect("re-deployment re-checks");
+        try_swap(module, pristine, s, &decision).expect("re-deployment re-checks");
         assert_eq!(s.swaps, 3);
         assert_eq!(s.cert_admissions, 1, "third swap admits on the cached cert");
         assert_eq!(s.certs.len(), 2, "no new certificate for a proven ordering");
@@ -704,15 +580,11 @@ mod tests {
         } = &mut rt;
         let s = &mut seqs[0];
         let n = plan_ranges(&s.seq).len();
-        let plan = plan_for_profile(
-            &s.seq,
-            &SequenceProfile {
-                counts: vec![10; n],
-            },
-            false,
-        )
-        .expect("nonzero profile");
-        try_swap(module, pristine, s, &plan, true).expect("dispatch swap proves");
+        let profile = SequenceProfile {
+            counts: vec![10; n],
+        };
+        let decision = decide(s.func, &s.seq, &profile, false, true).expect("nonzero profile");
+        try_swap(module, pristine, s, &decision).expect("dispatch swap proves");
         assert!(
             module
                 .function(s.func)
@@ -724,7 +596,7 @@ mod tests {
         assert_eq!(s.certs.len(), 1, "the dispatch proof is cached");
         // Re-deploying the same plan admits by re-checking the cached
         // certificate — a brcert v2 through the independent checker.
-        try_swap(module, pristine, s, &plan, true).expect("re-deployment re-checks");
+        try_swap(module, pristine, s, &decision).expect("re-deployment re-checks");
         assert_eq!(s.cert_admissions, 1);
         // The swapped module still behaves like the original, including
         // on bytes outside the table window.
@@ -746,15 +618,15 @@ mod tests {
             ..
         } = &mut rt;
         let s = &mut seqs[0];
-        let plan = some_plan(s);
-        try_swap(module, pristine, s, &plan, false).expect("first swap proves");
+        let decision = chain(s, some_plan(s));
+        try_swap(module, pristine, s, &decision).expect("first swap proves");
         // Corrupt the cached certificate (any semantic edit; here the
         // version line, which also breaks the signature).
         for cert in s.certs.values_mut() {
             cert.text = cert.text.replacen("brcert v1", "brcert v9", 1);
         }
         let before = module.function(s.func).clone();
-        let failure = try_swap(module, pristine, s, &plan, false).unwrap_err();
+        let failure = try_swap(module, pristine, s, &decision).unwrap_err();
         assert!(
             failure.details.iter().any(|d| d.contains("BR0301")),
             "{failure}"

@@ -9,7 +9,7 @@
 //! including fall-through ones, follows automatically, while entries into
 //! the *middle* of the original sequence keep their original code.
 
-use br_ir::{Function, Inst, Terminator};
+use br_ir::{BlockId, Function, Inst, Terminator};
 
 use crate::detect::DetectedSequence;
 use crate::emit::{emit_reordered, EmitResult};
@@ -28,14 +28,22 @@ pub fn apply_reordering(
     ordering: &Ordering,
 ) -> EmitResult {
     let result = emit_reordered(f, seq, items, ordering);
-    let head = f.block_mut(seq.head);
-    let popped = head.insts.pop();
-    debug_assert!(
-        matches!(popped, Some(Inst::Cmp { .. })),
-        "sequence head must end in its compare"
-    );
-    head.term = Terminator::Jump(result.entry);
+    splice_head(f, seq.head, result.entry);
     result
+}
+
+/// Point a sequence head at a replica's entry: a fresh head (compare and
+/// branch) loses its compare, a spliced one (a jump) is retargeted.
+pub(crate) fn splice_head(f: &mut Function, head: BlockId, entry: BlockId) {
+    let head = f.block_mut(head);
+    if matches!(head.term, Terminator::Branch { .. }) {
+        let popped = head.insts.pop();
+        debug_assert!(
+            matches!(popped, Some(Inst::Cmp { .. })),
+            "sequence head must end in its compare"
+        );
+    }
+    head.term = Terminator::Jump(entry);
 }
 
 #[cfg(test)]

@@ -31,13 +31,11 @@ use std::collections::HashMap;
 use std::sync::OnceLock;
 
 use br_ir::{Block, BlockId, Cond, Function, Inst, Operand, Reg, Terminator};
-use br_opt::tree::{
-    plan_table, plan_tree, table_groups, CostModel, TablePlan, TreeItem, TreeNode, TreePlan,
-};
+use br_opt::tree::{plan_table, plan_tree, CostModel, TablePlan, TreeItem, TreeNode, TreePlan};
 
 use crate::detect::DetectedSequence;
 use crate::emit::EmitResult;
-use crate::order::{ItemSource, OrderItem};
+use crate::order::{ItemSource, OrderItem, COST_EPSILON};
 
 /// Which structure a sequence was rebuilt as.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -139,7 +137,7 @@ pub fn plan_dispatch_with(items: &[OrderItem], model: &CostModel) -> Option<Disp
     let tree = plan_tree(&sorted, model);
     let table = plan_table(&sorted, model);
     match (tree, table) {
-        (Some(tr), Some(tb)) => Some(if tb.cost + 1e-9 < tr.cost {
+        (Some(tr), Some(tb)) => Some(if tb.cost + COST_EPSILON < tr.cost {
             DispatchPlan::Table(tb)
         } else {
             DispatchPlan::Tree(tr)
@@ -407,8 +405,7 @@ fn emit_table(f: &mut Function, var: Reg, plan: &TablePlan, pads: &mut ExitPads<
 }
 
 /// Splice the planned dispatch replica of `seq` into `f`: emit, then
-/// rewrite the head in place exactly like `apply_reordering` — drop its
-/// trailing compare and jump to the replica entry.
+/// rewrite the head in place exactly like `apply_reordering`.
 pub fn apply_dispatch(
     f: &mut Function,
     seq: &DetectedSequence,
@@ -416,20 +413,8 @@ pub fn apply_dispatch(
     plan: &DispatchPlan,
 ) -> EmitResult {
     let result = emit_dispatch(f, seq, items, plan);
-    let head = f.block_mut(seq.head);
-    let popped = head.insts.pop();
-    debug_assert!(
-        matches!(popped, Some(Inst::Cmp { .. })),
-        "sequence head must end in its compare"
-    );
-    head.term = Terminator::Jump(result.entry);
+    crate::apply::splice_head(f, seq.head, result.entry);
     result
-}
-
-/// How many window slots a table plan dispatches to, grouped by item —
-/// a report-friendly summary delegated to [`br_opt::tree::table_groups`].
-pub fn table_group_count(plan: &TablePlan) -> usize {
-    table_groups(plan).len()
 }
 
 #[cfg(test)]

@@ -23,6 +23,8 @@
 //!   Figure 9), side-effect duplication, default-target tail duplication.
 //! * [`apply`] — splicing the replicated sequence into the CFG
 //!   (Section 8, Figure 10).
+//! * [`mod@decide`] — the per-sequence step the pipeline and the adaptive
+//!   runtime share: a pure [`decide()`] and a certifying [`commit()`].
 //! * [`pipeline`] — the two-pass compile–profile–reorder driver
 //!   (Figure 2) and the static statistics the evaluation reports.
 //! * [`validate`] — stage-attributing translation validation: every
@@ -61,6 +63,7 @@
 
 pub mod apply;
 pub mod common;
+pub mod decide;
 pub mod detect;
 pub mod dispatch;
 pub mod emit;
@@ -71,6 +74,7 @@ pub mod range;
 pub mod validate;
 
 pub use br_layout::LayoutMode;
+pub use decide::{commit, decide, Committed, Decision, Proof};
 pub use detect::{detect_sequences, DetectedCondition, DetectedSequence};
 pub use dispatch::{plan_dispatch, DispatchPlan, DispatchStructure};
 pub use order::{select_ordering, OrderItem, Ordering};

@@ -14,6 +14,11 @@ use br_ir::BlockId;
 
 use crate::range::Range;
 
+/// The margin by which a candidate's estimated cost must undercut the
+/// incumbent's to replace it; ties within it keep the incumbent, so
+/// floating-point noise never churns a plan.
+pub const COST_EPSILON: f64 = 1e-9;
+
 /// Where an order item came from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ItemSource {

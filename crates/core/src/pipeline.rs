@@ -10,16 +10,16 @@ use br_vm::{Trap, VmOptions};
 use crate::common::{
     apply_common_reordering, detect_common, expected_cost, select_common_order, CommonSeq,
 };
+use crate::decide::{commit, decide, Proof};
 use crate::detect::DetectedSequence;
-use crate::dispatch::{check_dispatch, plan_dispatch, DispatchStructure};
-use crate::order::{evaluate_cost, exhaustive_ordering, select_ordering, OrderItem, Ordering};
+use crate::dispatch::DispatchStructure;
+use crate::order::{
+    evaluate_cost, exhaustive_ordering, select_ordering, OrderItem, Ordering, COST_EPSILON,
+};
 use crate::profile::{
     detect_all, instrument_module, order_items, profiles_from_run, SequenceProfile,
 };
-use crate::validate::{
-    certify_sequence, check_ordering, validate_sequence, SequenceCertificate, Stage, StageFailure,
-    ValidationSummary,
-};
+use crate::validate::{Stage, StageFailure, ValidationSummary};
 
 /// Options for the reordering pipeline.
 #[derive(Clone, Debug, Default)]
@@ -233,17 +233,19 @@ pub fn reorder_module_with_inputs(
 
     // Pass 2: per-sequence selection and application.
     let do_validate = options.validate || options.certify || cfg!(debug_assertions);
+    let proof = match (options.certify, do_validate) {
+        (true, _) => Proof::Certify,
+        (false, true) => Proof::Validate,
+        (false, false) => Proof::Unproven,
+    };
     let mut summary = ValidationSummary::default();
     let mut module = optimized.clone();
     let mut sequences = Vec::with_capacity(detections.len());
     for ((fid, seq), trained) in detections.iter().zip(&profiles) {
-        let static_prof;
-        let profile = if options.static_heuristic {
-            static_prof = crate::profile::static_profile(seq);
-            &static_prof
-        } else {
-            trained
-        };
+        let static_prof = options
+            .static_heuristic
+            .then(|| crate::profile::static_profile(seq));
+        let profile = static_prof.as_ref().unwrap_or(trained);
         let mut record = SequenceRecord {
             kind: SequenceKind::RangeConditions,
             structure: DispatchStructure::Chain,
@@ -254,96 +256,33 @@ pub fn reorder_module_with_inputs(
             training_executions: trained.total(),
             outcome: SequenceOutcome::NeverExecuted,
         };
-        if profile.total() == 0 || (!options.static_heuristic && trained.total() == 0) {
-            sequences.push(record);
-            continue;
-        }
-        let SequencePlan {
-            items,
-            ordering,
-            original_cost,
-        } = plan_for_profile(seq, profile, options.exhaustive)
-            .expect("profile total checked nonzero");
-        if do_validate {
-            if let Err(problems) = check_ordering(&items, &ordering) {
-                summary.failures.push(StageFailure {
-                    stage: Stage::Order,
-                    func: *fid,
-                    head: Some(seq.head),
-                    details: problems,
-                });
-                sequences.push(record);
-                continue;
+        match decide(*fid, seq, profile, options.exhaustive, options.opt_tree) {
+            None => {}
+            // A refused decision goes on to `commit`, which reports it.
+            Some(d) if d.refused.is_none() && !d.improves() => {
+                record.outcome = SequenceOutcome::NoImprovement;
             }
-        }
-        // Set IV: a tree or table candidate must strictly beat the chain
-        // ordering (ties keep the chain), so it can never plan worse.
-        let dispatch = if options.opt_tree {
-            plan_dispatch(&items).filter(|d| d.cost() + 1e-9 < ordering.cost)
-        } else {
-            None
-        };
-        let dispatch = match dispatch {
-            Some(d) if do_validate => {
-                if let Err(problems) = check_dispatch(&items, &d) {
-                    summary.failures.push(StageFailure {
-                        stage: Stage::Order,
-                        func: *fid,
-                        head: Some(seq.head),
-                        details: problems,
-                    });
-                    sequences.push(record);
-                    continue;
-                }
-                Some(d)
-            }
-            other => other,
-        };
-        let new_cost = dispatch.as_ref().map_or(ordering.cost, |d| d.cost());
-        if new_cost + 1e-9 < original_cost {
-            let f = module.function_mut(*fid);
-            let pre = do_validate.then(|| f.clone());
-            let replica_start = f.blocks.len() as u32;
-            let emitted = match &dispatch {
-                Some(d) => {
-                    record.structure = d.structure();
-                    crate::dispatch::apply_dispatch(f, seq, &items, d)
-                }
-                None => crate::apply::apply_reordering(f, seq, &items, &ordering),
-            };
-            if let Some(pre) = &pre {
-                if options.certify {
-                    match certify_sequence(*fid, pre, f, seq, replica_start) {
-                        Ok(proof) => {
-                            summary.proven += 1;
-                            summary.value_classes += proof.value_classes;
-                            summary.certificates.push(SequenceCertificate {
-                                func: *fid,
-                                head: seq.head,
-                                text: proof.certificate,
-                                sig: proof.sig,
-                            });
-                        }
-                        Err(refuted) => summary.failures.push(refuted.failure),
+            Some(d) => {
+                let f = module.function_mut(*fid);
+                match commit(f, None, seq, &d, proof, |_, _| {}) {
+                    Ok(committed) => {
+                        summary.proven += 1;
+                        summary.value_classes += committed.value_classes;
+                        summary.certificates.extend(committed.certificate);
+                        record.structure = d
+                            .dispatch
+                            .as_ref()
+                            .map_or(DispatchStructure::Chain, |t| t.structure());
+                        record.outcome = SequenceOutcome::Reordered {
+                            new_branches: committed.branches,
+                            new_compares: committed.compares,
+                            original_cost: d.plan.original_cost,
+                            new_cost: d.deployed_cost(),
+                        };
                     }
-                } else {
-                    match validate_sequence(*fid, pre, f, seq, replica_start) {
-                        Ok(proof) => {
-                            summary.proven += 1;
-                            summary.value_classes += proof.value_classes;
-                        }
-                        Err(failure) => summary.failures.push(failure),
-                    }
+                    Err(failure) => summary.failures.push(failure),
                 }
             }
-            record.outcome = SequenceOutcome::Reordered {
-                new_branches: emitted.branches,
-                new_compares: emitted.compares,
-                original_cost,
-                new_cost,
-            };
-        } else {
-            record.outcome = SequenceOutcome::NoImprovement;
         }
         sequences.push(record);
     }
@@ -366,7 +305,7 @@ pub fn reorder_module_with_inputs(
             let original_cost = expected_cost(&seq.conds, counts, &identity);
             let order = select_common_order(&seq.conds, counts);
             let new_cost = expected_cost(&seq.conds, counts, &order);
-            if new_cost + 1e-9 < original_cost {
+            if new_cost + COST_EPSILON < original_cost {
                 let f = module.function_mut(*fid);
                 let applied = apply_common_reordering(f, seq, &order);
                 record.outcome = SequenceOutcome::Reordered {
@@ -533,12 +472,6 @@ pub struct SequencePlan {
 }
 
 impl SequencePlan {
-    /// Whether the selected ordering beats the original's estimated cost
-    /// (the pipeline's apply threshold).
-    pub fn improves(&self) -> bool {
-        self.ordering.cost + 1e-9 < self.original_cost
-    }
-
     /// Estimated per-execution cost of an *already deployed* ordering,
     /// re-evaluated under this plan's (newer) profile. `None` means the
     /// original source order is deployed. Item indices are canonical, so
@@ -552,12 +485,12 @@ impl SequencePlan {
     }
 }
 
-/// Re-entrant per-sequence planning: compute the best ordering for one
-/// sequence under an arbitrary profile, without touching any module.
-/// This is the selection half of the pipeline's per-sequence loop,
-/// exposed so a runtime can re-plan a single drifted sequence against
-/// its *live* profile (see the `br-adaptive` crate). Returns `None` when
-/// the profile has no executions to plan from.
+/// Figure 8's selection for one sequence under an arbitrary profile,
+/// without touching any module: the best chain ordering and the cost of
+/// the original order. This is the first step of
+/// [`crate::decide::decide`], which the pipeline and the adaptive
+/// runtime both call. Returns `None` when the profile has no executions
+/// to plan from.
 pub fn plan_for_profile(
     seq: &DetectedSequence,
     profile: &SequenceProfile,

@@ -21,7 +21,7 @@
 //! - A module that stops verifying after the clean-up pass:
 //!   [`Stage::Cleanup`] (checked by the pipeline, not here).
 
-use br_analysis::validate::{EquivalenceCheck, EquivalenceProof};
+use br_analysis::validate::{EquivalenceCheck, EquivalenceProof, ValidationError};
 use br_analysis::Interval;
 use br_ir::{BlockId, FuncId, Function};
 use std::collections::BTreeSet;
@@ -198,38 +198,9 @@ pub fn validate_sequence(
     seq: &DetectedSequence,
     replica_start: u32,
 ) -> Result<EquivalenceProof, StageFailure> {
-    // Theorem 2 re-screen: a violation here is a detector bug even if
-    // the emitted code happens to be equivalent.
-    if let Err(details) = check_motion_legality(original, seq) {
-        return Err(StageFailure {
-            stage: Stage::Detect,
-            func,
-            head: Some(seq.head),
-            details,
-        });
-    }
-    let check = EquivalenceCheck {
-        original,
-        reordered,
-        var: seq.var,
-        head: seq.head,
-        exits: sequence_exits(seq),
-        replica_start,
-        expected: declared_plan(seq),
-    };
-    br_analysis::check_equivalence(&check).map_err(|errors| {
-        let stage = if errors.iter().any(|e| e.blames_original()) {
-            Stage::Detect
-        } else {
-            Stage::Emit
-        };
-        StageFailure {
-            stage,
-            func,
-            head: Some(seq.head),
-            details: errors.iter().map(|e| e.to_string()).collect(),
-        }
-    })
+    let prove = br_analysis::check_equivalence;
+    prove_attributed(func, original, reordered, seq, replica_start, prove, |e| e)
+        .map_err(|(failure, _)| failure)
 }
 
 /// Certify one applied sequence: everything [`validate_sequence`]
@@ -248,17 +219,42 @@ pub fn certify_sequence(
     seq: &DetectedSequence,
     replica_start: u32,
 ) -> Result<br_analysis::SequenceProof, CertifyFailure> {
-    if let Err(details) = check_motion_legality(original, seq) {
-        return Err(CertifyFailure {
-            failure: StageFailure {
-                stage: Stage::Detect,
-                func,
-                head: Some(seq.head),
-                details,
-            },
-            witness: None,
-        });
-    }
+    let prove = br_analysis::prove_sequence;
+    prove_attributed(func, original, reordered, seq, replica_start, prove, |r| {
+        &r.errors
+    })
+    .map_err(|(mut failure, refutation)| {
+        let witness = refutation.and_then(|r| r.witness);
+        if let Some(w) = &witness {
+            failure.details.push(format!("counterexample witness: {w}"));
+        }
+        CertifyFailure { failure, witness }
+    })
+}
+
+/// The set-up [`validate_sequence`] and [`certify_sequence`] share: the
+/// Theorem 2 re-screen, the [`EquivalenceCheck`], and the blame rule —
+/// a refutation implicates [`Stage::Detect`] when any of its `errors`
+/// blames the original chain, else [`Stage::Emit`]. The refutation is
+/// handed back with the failure (`None` after a failed re-screen).
+fn prove_attributed<P, R>(
+    func: FuncId,
+    original: &Function,
+    reordered: &Function,
+    seq: &DetectedSequence,
+    replica_start: u32,
+    prove: impl FnOnce(&EquivalenceCheck) -> Result<P, R>,
+    errors: impl Fn(&R) -> &Vec<ValidationError>,
+) -> Result<P, (StageFailure, Option<R>)> {
+    let failure = |stage, details| StageFailure {
+        stage,
+        func,
+        head: Some(seq.head),
+        details,
+    };
+    // Theorem 2 re-screen: a violation here is a detector bug even if
+    // the emitted code happens to be equivalent.
+    check_motion_legality(original, seq).map_err(|d| (failure(Stage::Detect, d), None))?;
     let check = EquivalenceCheck {
         original,
         reordered,
@@ -268,25 +264,15 @@ pub fn certify_sequence(
         replica_start,
         expected: declared_plan(seq),
     };
-    br_analysis::prove_sequence(&check).map_err(|refutation| {
-        let stage = if refutation.errors.iter().any(|e| e.blames_original()) {
+    prove(&check).map_err(|refuted| {
+        let errors = errors(&refuted);
+        let stage = if errors.iter().any(|e| e.blames_original()) {
             Stage::Detect
         } else {
             Stage::Emit
         };
-        let mut details: Vec<String> = refutation.errors.iter().map(|e| e.to_string()).collect();
-        if let Some(w) = &refutation.witness {
-            details.push(format!("counterexample witness: {w}"));
-        }
-        CertifyFailure {
-            failure: StageFailure {
-                stage,
-                func,
-                head: Some(seq.head),
-                details,
-            },
-            witness: refutation.witness,
-        }
+        let details = errors.iter().map(|e| e.to_string()).collect();
+        (failure(stage, details), Some(refuted))
     })
 }
 
