@@ -27,10 +27,12 @@
 use std::collections::HashMap;
 
 use br_ir::{FuncId, Module, SeqId};
+use br_reorder::emit::form4_below_first;
 use br_reorder::profile::plan_ranges;
 use br_reorder::{
     commit, decide, detect_all, instrument_module, profiles_from_run, Decision, DetectedSequence,
-    Ordering, Proof, SequenceCertificate, SequenceProfile, StageFailure,
+    DispatchPlan, Ordering, Proof, SequenceCertificate, SequencePlan, SequenceProfile,
+    StageFailure,
 };
 use br_vm::{EpochHook, RunOutcome, Trap, VmOptions};
 
@@ -324,19 +326,39 @@ impl EpochHook for EpochController<'_> {
 }
 
 /// Content fingerprint of a decision as it will be emitted: the items'
-/// ranges and targets, the selected emission order, and the deployed
-/// structure kind. Two swaps that agree here share a proof certificate.
+/// ranges, targets and sources, the selected emission order, each
+/// Form 4 item's branch orientation (the one thing emission reads from
+/// the probabilities), and the shape of a deployed tree or table. Two
+/// swaps that agree here emit the same replica, so they share a proof
+/// certificate.
 fn ordering_key(decision: &Decision) -> u64 {
+    let SequencePlan {
+        items, ordering, ..
+    } = &decision.plan;
     let Ordering {
         explicit,
         eliminated,
         default_target,
         ..
-    } = &decision.plan.ordering;
-    let items = decision.plan.items.iter();
-    let ranges: Vec<_> = items.map(|it| (it.range, it.target)).collect();
-    let structure = decision.dispatch.as_ref().map(|d| d.structure());
-    let key = format!("{ranges:?}|{explicit:?}|{eliminated:?}|{default_target}|{structure:?}");
+    } = ordering;
+    let ranges: Vec<_> = items
+        .iter()
+        .map(|it| (it.range, it.target, it.source))
+        .collect();
+    let form4: Vec<bool> = (0..explicit.len())
+        .filter(|&pos| items[explicit[pos]].range.is_bounded_multi())
+        .map(|pos| form4_below_first(items, ordering, pos))
+        .collect();
+    let structure = match &decision.dispatch {
+        None => String::from("chain"),
+        Some(DispatchPlan::Tree(t)) => format!("tree {:?}", t.root),
+        Some(DispatchPlan::Table(t)) => format!(
+            "table {}..{} {:?} below {} above {}",
+            t.base, t.limit, t.slots, t.below, t.above
+        ),
+    };
+    let key =
+        format!("{ranges:?}|{explicit:?}|{eliminated:?}|{default_target}|{form4:?}|{structure}");
     br_analysis::cert::fingerprint(&key)
 }
 
@@ -374,7 +396,7 @@ mod tests {
     use super::*;
     use br_ir::Terminator;
     use br_minic::{compile, Options};
-    use br_reorder::{plan_for_profile, SequencePlan, Stage};
+    use br_reorder::{plan_for_profile, Stage};
 
     const CLASSIFIER: &str = "
         int main() {
@@ -406,6 +428,83 @@ mod tests {
     /// The chain decision for `plan`, as `decide` would make it.
     fn chain(s: &SeqState, plan: SequencePlan) -> Decision {
         Decision::new(s.func, &s.seq, plan, false)
+    }
+
+    /// A Form 4 range between two singletons: its branch orientation
+    /// follows where the default ranges' mass lies.
+    const LOWERCASE: &str = "
+        int main() {
+            int c; int k; k = 0;
+            c = getchar();
+            while (c != -1) {
+                if (c == 32) k += 1;
+                else if (c >= 97 && c <= 122) k += 2;
+                else if (c == 10) k += 3;
+                else k += 7;
+                c = getchar();
+            }
+            putint(k);
+            return 0;
+        }";
+
+    #[test]
+    fn replicas_that_differ_never_share_a_certificate_key() {
+        let mut m = compile(LOWERCASE, &Options::default()).expect("compiles");
+        br_opt::optimize(&mut m);
+        for opt_tree in [false, true] {
+            let opts = AdaptOptions {
+                opt_tree,
+                ..AdaptOptions::default()
+            };
+            let rt = AdaptiveRuntime::new(&m, None, &opts).unwrap();
+            let s = &rt.seqs[0];
+            let ranges = plan_ranges(&s.seq);
+            let reference = rt.pristine.function(s.func);
+            // Certificate text (it embeds the whole replica) per key.
+            let mut by_key: HashMap<u64, String> = HashMap::new();
+            let mut replicas = std::collections::HashSet::new();
+            for step in 0..20u64 {
+                // Grow the default range above [97, 122] past everything
+                // below it: the chain order stays put while the Form 4
+                // test's branch orientation flips.
+                let counts = ranges
+                    .iter()
+                    .map(|(r, ..)| match (r.lo, r.hi) {
+                        (97, 122) => 500,
+                        (32, 32) => 20,
+                        (10, 10) => 10,
+                        (-1, -1) => 1,
+                        (_, hi) if hi < 97 => 30,
+                        _ => 100 + 10 * step,
+                    })
+                    .collect();
+                let profile = SequenceProfile { counts };
+                let decision = decide(s.func, &s.seq, &profile, false, opt_tree).unwrap();
+                let mut f = reference.clone();
+                let cert = commit(
+                    &mut f,
+                    Some(reference),
+                    &s.seq,
+                    &decision,
+                    Proof::Certify,
+                    br_layout::reposition_tail,
+                )
+                .expect("certifies")
+                .certificate
+                .expect("certify mode returns a certificate")
+                .text;
+                replicas.insert(cert.clone());
+                let earlier = by_key
+                    .entry(ordering_key(&decision))
+                    .or_insert(cert.clone());
+                assert!(
+                    *earlier == cert,
+                    "opt_tree {opt_tree}, step {step}: two different replicas share a key"
+                );
+            }
+            assert!(replicas.len() >= 2, "the profiles must change the replica");
+            assert!(by_key.len() < 20, "equal replicas must share a key");
+        }
     }
 
     #[test]

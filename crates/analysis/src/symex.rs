@@ -23,7 +23,7 @@
 //!   put in the variable (so the witness is replayable as real input,
 //!   not just an abstract value).
 
-use br_ir::{print_function, BinOp, Callee, Function, Inst, Intrinsic, Operand, Reg};
+use br_ir::{BinOp, Callee, Function, Inst, Intrinsic, Operand, Reg};
 
 use crate::cfg::Cfg;
 use crate::domtree::{two_way_conditionals, DomTree};
@@ -355,8 +355,7 @@ fn diverging_values(e: &ValidationError) -> Option<IntervalSet> {
 /// rendered as `brcert v2` with the extra `temps` header the checker's
 /// concrete walker needs; everything else stays `brcert v1`.
 fn render_certificate(chk: &EquivalenceCheck, proof: &crate::validate::EquivalenceProof) -> String {
-    let orig_text = print_function(chk.original);
-    let reord_text = print_function(chk.reordered);
+    use std::fmt::Write as _;
     let dispatches = (chk.replica_start..chk.reordered.blocks.len() as u32).any(|b| {
         matches!(
             chk.reordered.block(br_ir::BlockId(b)).term,
@@ -370,34 +369,40 @@ fn render_certificate(chk: &EquivalenceCheck, proof: &crate::validate::Equivalen
         crate::cert::VERSION
     });
     s.push('\n');
-    s.push_str(&format!("func {}\n", chk.original.name));
-    s.push_str(&format!("var r{}\n", chk.var.0));
-    s.push_str(&format!("head {}\n", chk.head.0));
-    s.push_str(&format!("replica {}\n", chk.replica_start));
-    s.push_str(&format!("prologue {}\n", proof.prologue));
+    let _ = writeln!(s, "func {}", chk.original.name);
+    let _ = writeln!(s, "var r{}", chk.var.0);
+    let _ = writeln!(s, "head {}", chk.head.0);
+    let _ = writeln!(s, "replica {}", chk.replica_start);
+    let _ = writeln!(s, "prologue {}", proof.prologue);
     if dispatches {
-        s.push_str(&format!("temps {}\n", chk.original.num_regs));
+        let _ = writeln!(s, "temps {}", chk.original.num_regs);
     }
-    s.push_str(&format!("exits {}", chk.exits.len()));
+    let _ = write!(s, "exits {}", chk.exits.len());
     for e in &chk.exits {
-        s.push_str(&format!(" {}", e.0));
+        let _ = write!(s, " {}", e.0);
     }
     s.push('\n');
-    s.push_str(&format!("classes {}\n", proof.classes.len()));
+    let _ = writeln!(s, "classes {}", proof.classes.len());
     for class in &proof.classes {
         let ivs = class.values.intervals();
-        s.push_str(&format!("class {}", ivs.len()));
+        let _ = write!(s, "class {}", ivs.len());
         for iv in ivs {
-            s.push_str(&format!(" {},{}", iv.lo, iv.hi));
+            let _ = write!(s, " {},{}", iv.lo, iv.hi);
         }
-        s.push_str(&format!(" exit {}\n", class.target.0));
+        let _ = writeln!(s, " exit {}", class.target.0);
     }
-    s.push_str(&format!("original {}\n", orig_text.lines().count()));
-    s.push_str(&orig_text);
-    s.push_str(&format!("reordered {}\n", reord_text.lines().count()));
-    s.push_str(&reord_text);
+    // Each listing is preceded by its line count, so it is printed into
+    // one reused buffer first.
+    let mut listing = String::new();
+    for (label, f) in [("original", chk.original), ("reordered", chk.reordered)] {
+        listing.clear();
+        br_ir::write_function(&mut listing, f);
+        let lines = listing.bytes().filter(|&b| b == b'\n').count();
+        let _ = writeln!(s, "{label} {lines}");
+        s.push_str(&listing);
+    }
     let sig = sign(&s);
-    s.push_str(&format!("sig {sig:016x}\n"));
+    let _ = writeln!(s, "sig {sig:016x}");
     s
 }
 

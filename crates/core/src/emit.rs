@@ -122,6 +122,28 @@ fn lower_qualify(l: i64) -> Vec<(i64, Cond)> {
     o
 }
 
+/// Form 4 (a bounded range of several values) takes two branches. Which
+/// goes first is the one more likely to disqualify, judged from the
+/// ranges that can still be live after explicit position `pos` (later
+/// explicit items and the eliminated ones): `true` tests the lower bound
+/// first. This is the only place emission reads probabilities, so a
+/// key for "the same replica" must include it.
+pub fn form4_below_first(items: &[OrderItem], ordering: &Ordering, pos: usize) -> bool {
+    let range = items[ordering.explicit[pos]].range;
+    let remaining = ordering.explicit[pos + 1..]
+        .iter()
+        .chain(&ordering.eliminated);
+    let (mut below, mut above) = (0.0f64, 0.0f64);
+    for &r in remaining {
+        if items[r].range.hi < range.lo {
+            below += items[r].prob;
+        } else if items[r].range.lo > range.hi {
+            above += items[r].prob;
+        }
+    }
+    below >= above
+}
+
 /// Emit the replicated, reordered sequence into `f`, returning its entry
 /// block. The original blocks are left untouched (the caller rewires the
 /// head; dead-code elimination reclaims the rest).
@@ -164,21 +186,7 @@ pub fn emit_reordered(
             bundle,
         };
         if item.range.is_bounded_multi() {
-            // Form 4: order the two branches by which side is more
-            // likely to disqualify, judged from the ranges that can
-            // still be live at this point (later explicit + eliminated).
-            let remaining = ordering.explicit[pos + 1..]
-                .iter()
-                .chain(&ordering.eliminated);
-            let (mut below, mut above) = (0.0f64, 0.0f64);
-            for &r in remaining {
-                if items[r].range.hi < item.range.lo {
-                    below += items[r].prob;
-                } else if items[r].range.lo > item.range.hi {
-                    above += items[r].prob;
-                }
-            }
-            if below >= above {
+            if form4_below_first(items, ordering, pos) {
                 specs.push(BranchSpec {
                     options: below_disqualify(item.range.lo),
                     true_dest: TrueDest::NextItem,

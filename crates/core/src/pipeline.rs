@@ -10,7 +10,7 @@ use br_vm::{Trap, VmOptions};
 use crate::common::{
     apply_common_reordering, detect_common, expected_cost, select_common_order, CommonSeq,
 };
-use crate::decide::{commit, decide, Proof};
+use crate::decide::{commit, decide, Committed, Decision, Proof};
 use crate::detect::DetectedSequence;
 use crate::dispatch::DispatchStructure;
 use crate::order::{
@@ -87,6 +87,66 @@ pub enum SequenceOutcome {
     NeverExecuted,
     /// No ordering beat the original's estimated cost.
     NoImprovement,
+    /// The sequence executed and an ordering beat the original, but it
+    /// was not deployed: its plan failed a structural check
+    /// ([`Stage::Order`]) or its replica's proof was refuted (the stage
+    /// the proof blames). The failure itself is in
+    /// [`ReorderReport::validation`].
+    Refused(Stage),
+}
+
+impl SequenceOutcome {
+    /// The outcome of [`commit`]ting `decision`.
+    fn of_commit(decision: &Decision, result: &Result<Committed, StageFailure>) -> Self {
+        match result {
+            Ok(committed) => SequenceOutcome::Reordered {
+                new_branches: committed.branches,
+                new_compares: committed.compares,
+                original_cost: decision.plan.original_cost,
+                new_cost: decision.deployed_cost(),
+            },
+            Err(failure) => SequenceOutcome::Refused(failure.stage),
+        }
+    }
+
+    /// Read back the [`Display`](std::fmt::Display) text.
+    pub fn parse(text: &str) -> Option<Self> {
+        let mut words = text.split(' ');
+        let outcome = match words.next()? {
+            "reordered" => SequenceOutcome::Reordered {
+                new_branches: words.next()?.parse().ok()?,
+                new_compares: words.next()?.parse().ok()?,
+                original_cost: words.next()?.parse().ok()?,
+                new_cost: words.next()?.parse().ok()?,
+            },
+            "never" => SequenceOutcome::NeverExecuted,
+            "noimp" => SequenceOutcome::NoImprovement,
+            "refused" => SequenceOutcome::Refused(Stage::parse(words.next()?)?),
+            _ => return None,
+        };
+        words.next().is_none().then_some(outcome)
+    }
+}
+
+/// One line of text per outcome, as sweep artifacts and serve responses
+/// carry it; [`SequenceOutcome::parse`] reads it back.
+impl std::fmt::Display for SequenceOutcome {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SequenceOutcome::Reordered {
+                new_branches,
+                new_compares,
+                original_cost,
+                new_cost,
+            } => write!(
+                f,
+                "reordered {new_branches} {new_compares} {original_cost:?} {new_cost:?}"
+            ),
+            SequenceOutcome::NeverExecuted => write!(f, "never"),
+            SequenceOutcome::NoImprovement => write!(f, "noimp"),
+            SequenceOutcome::Refused(stage) => write!(f, "refused {stage}"),
+        }
+    }
 }
 
 /// Which transformation a record belongs to.
@@ -264,7 +324,9 @@ pub fn reorder_module_with_inputs(
             }
             Some(d) => {
                 let f = module.function_mut(*fid);
-                match commit(f, None, seq, &d, proof, |_, _| {}) {
+                let result = commit(f, None, seq, &d, proof, |_, _| {});
+                record.outcome = SequenceOutcome::of_commit(&d, &result);
+                match result {
                     Ok(committed) => {
                         summary.proven += 1;
                         summary.value_classes += committed.value_classes;
@@ -273,12 +335,6 @@ pub fn reorder_module_with_inputs(
                             .dispatch
                             .as_ref()
                             .map_or(DispatchStructure::Chain, |t| t.structure());
-                        record.outcome = SequenceOutcome::Reordered {
-                            new_branches: committed.branches,
-                            new_compares: committed.compares,
-                            original_cost: d.plan.original_cost,
-                            new_cost: d.deployed_cost(),
-                        };
                     }
                     Err(failure) => summary.failures.push(failure),
                 }
@@ -691,6 +747,45 @@ mod tests {
         let m = build(src);
         let err = reorder_module(&m, b"x", &ReorderOptions::default()).unwrap_err();
         assert_eq!(err, Trap::Abort { code: 9 });
+    }
+
+    #[test]
+    fn refused_and_refuted_commits_are_recorded_as_refused() {
+        let m = build(CLASSIFIER);
+        let (fid, seq) = detect_all(&m).remove(0);
+        let n = crate::profile::plan_ranges(&seq).len() as u64;
+        let profile = SequenceProfile {
+            counts: (1..=n).map(|i| i * i).collect(),
+        };
+        let decision = decide(fid, &seq, &profile, false, false).expect("executed");
+        let outcome = |d: &Decision| {
+            let mut f = m.function(fid).clone();
+            let result = commit(&mut f, None, &seq, d, Proof::Validate, |_, _| {});
+            SequenceOutcome::of_commit(d, &result)
+        };
+        assert!(matches!(
+            outcome(&decision),
+            SequenceOutcome::Reordered { .. }
+        ));
+        // Cross two exits: structurally fine, refuted by the proof.
+        let mut plan = decision.plan.clone();
+        let j = (1..plan.items.len())
+            .find(|&j| plan.items[j].target != plan.items[0].target)
+            .expect("two targets");
+        let t = plan.items[0].target;
+        plan.items[0].target = plan.items[j].target;
+        plan.items[j].target = t;
+        let crossed = Decision::new(fid, &seq, plan, false);
+        assert!(crossed.refused.is_none(), "{:?}", crossed.refused);
+        assert_eq!(outcome(&crossed), SequenceOutcome::Refused(Stage::Emit));
+        // A plan that fails the structural checks is refused unproven.
+        let mut plan = decision.plan;
+        plan.ordering.explicit = vec![0, 0];
+        let broken = Decision::new(fid, &seq, plan, false);
+        let refused = outcome(&broken);
+        assert_eq!(refused, SequenceOutcome::Refused(Stage::Order));
+        assert_eq!(refused.to_string(), "refused order");
+        assert_eq!(SequenceOutcome::parse("refused order"), Some(refused));
     }
 
     #[test]

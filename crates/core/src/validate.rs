@@ -60,6 +60,20 @@ impl Stage {
     }
 }
 
+impl Stage {
+    /// The stage named by its [`Display`](std::fmt::Display) spelling.
+    pub fn parse(s: &str) -> Option<Stage> {
+        match s {
+            "detect" => Some(Stage::Detect),
+            "order" => Some(Stage::Order),
+            "emit" => Some(Stage::Emit),
+            "cleanup" => Some(Stage::Cleanup),
+            "layout" => Some(Stage::Layout),
+            _ => None,
+        }
+    }
+}
+
 impl std::fmt::Display for Stage {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

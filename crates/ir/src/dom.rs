@@ -17,6 +17,10 @@ pub struct Dominators {
     /// to itself; unreachable blocks map to `None`.
     idom: Vec<Option<BlockId>>,
     entry: BlockId,
+    /// `interval[b]` is `b`'s `(preorder, postorder)` number in a DFS
+    /// of the dominator tree: `a` dominates `b` exactly when `a`'s
+    /// interval encloses `b`'s. Unreachable blocks have none.
+    interval: Vec<Option<(u32, u32)>>,
 }
 
 impl Dominators {
@@ -51,9 +55,11 @@ impl Dominators {
                 }
             }
         }
+        let interval = dfs_intervals(&idom, f.entry);
         Dominators {
             idom,
             entry: f.entry,
+            interval,
         }
     }
 
@@ -66,19 +72,52 @@ impl Dominators {
         }
     }
 
-    /// Whether `a` dominates `b` (reflexive).
+    /// Whether `a` dominates `b` (reflexive). Constant time.
     pub fn dominates(&self, a: BlockId, b: BlockId) -> bool {
-        let mut cur = b;
-        loop {
-            if cur == a {
-                return true;
-            }
-            match self.idom[cur.index()] {
-                Some(d) if d != cur => cur = d,
-                _ => return false,
-            }
+        if a == b {
+            return true;
+        }
+        match (self.interval[a.index()], self.interval[b.index()]) {
+            (Some((a_pre, a_post)), Some((b_pre, b_post))) => a_pre <= b_pre && b_post <= a_post,
+            _ => false,
         }
     }
+}
+
+/// Pre/postorder numbers of a depth-first walk of the dominator tree
+/// given by `idom`, rooted at `entry`.
+fn dfs_intervals(idom: &[Option<BlockId>], entry: BlockId) -> Vec<Option<(u32, u32)>> {
+    const NONE: usize = usize::MAX;
+    let n = idom.len();
+    // The tree as first-child / next-sibling links.
+    let mut first_child = vec![NONE; n];
+    let mut next_sibling = vec![NONE; n];
+    for (b, d) in idom.iter().enumerate() {
+        match d {
+            Some(d) if d.index() != b => {
+                next_sibling[b] = first_child[d.index()];
+                first_child[d.index()] = b;
+            }
+            _ => {}
+        }
+    }
+    let mut interval = vec![None; n];
+    // (block, its next child to visit, its preorder number)
+    let mut stack = vec![(entry.index(), first_child[entry.index()], 0u32)];
+    let mut clock = 1u32;
+    while let Some((b, child, pre)) = stack.last_mut() {
+        if *child == NONE {
+            interval[*b] = Some((*pre, clock));
+            clock += 1;
+            stack.pop();
+        } else {
+            let c = *child;
+            *child = next_sibling[c];
+            stack.push((c, first_child[c], clock));
+            clock += 1;
+        }
+    }
+    interval
 }
 
 fn intersect(idom: &[Option<BlockId>], order: &[usize], mut a: BlockId, mut b: BlockId) -> BlockId {
@@ -114,6 +153,7 @@ impl NaturalLoop {
 /// Find the natural loops of `f`. Loops sharing a header are merged (as
 /// in classical loop analysis); results are ordered by header id.
 pub fn natural_loops(f: &Function, doms: &Dominators) -> Vec<NaturalLoop> {
+    let preds = predecessors(f);
     let mut by_header: BTreeMap<BlockId, BTreeSet<BlockId>> = Default::default();
     for b in f.block_ids() {
         if doms.idom[b.index()].is_none() {
@@ -128,7 +168,7 @@ pub fn natural_loops(f: &Function, doms: &Dominators) -> Vec<NaturalLoop> {
                 let mut work = vec![b];
                 while let Some(n) = work.pop() {
                     if blocks.insert(n) {
-                        for &p in &predecessors(f)[n.index()] {
+                        for &p in &preds[n.index()] {
                             if doms.idom[p.index()].is_some() {
                                 work.push(p);
                             }
@@ -233,6 +273,36 @@ mod tests {
         let inner = loops.iter().find(|l| l.header == h2).unwrap();
         assert!(outer.contains(h2) && outer.contains(b2));
         assert!(inner.contains(b2) && !inner.contains(h1));
+    }
+
+    /// The reference answer: walk `b`'s idom chain looking for `a`.
+    fn dominates_by_walking(doms: &Dominators, a: BlockId, b: BlockId) -> bool {
+        let mut cur = b;
+        loop {
+            if cur == a {
+                return true;
+            }
+            match doms.idom[cur.index()] {
+                Some(d) if d != cur => cur = d,
+                _ => return false,
+            }
+        }
+    }
+
+    #[test]
+    fn dominates_agrees_with_the_idom_chain() {
+        let (mut f, head, ..) = simple_loop();
+        f.add_block(crate::function::Block::new(Terminator::Jump(head)));
+        let doms = Dominators::compute(&f);
+        for a in f.block_ids() {
+            for b in f.block_ids() {
+                assert_eq!(
+                    doms.dominates(a, b),
+                    dominates_by_walking(&doms, a, b),
+                    "{a} dominates {b}"
+                );
+            }
+        }
     }
 
     #[test]

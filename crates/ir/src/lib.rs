@@ -54,7 +54,7 @@ pub use function::{Block, BlockId, Function};
 pub use inst::{BinOp, Callee, Cond, Inst, Intrinsic, Operand, Reg, Terminator, UnOp};
 pub use module::{FuncId, GlobalData, Module, PlanKind, ProfilePlan, SeqId};
 pub use parse::{parse_module, ParseIrError};
-pub use print::{print_function, print_module};
+pub use print::{print_function, print_module, write_function};
 pub use verify::{
     verify_function, verify_function_all, verify_module, verify_module_all, VerifyError,
 };

@@ -9,76 +9,94 @@ use crate::module::Module;
 /// Render one function as readable assembly-like text.
 pub fn print_function(f: &Function) -> String {
     let mut out = String::new();
-    let params: Vec<String> = f.param_regs.iter().map(|r| r.to_string()).collect();
-    let _ = writeln!(
-        out,
-        "func {}({}) regs={} frame={} {{",
-        f.name,
-        params.join(", "),
-        f.num_regs,
-        f.frame_size
-    );
+    write_function(&mut out, f);
+    out
+}
+
+/// Append [`print_function`]'s text for `f` to `out`, without
+/// allocating anything but `out`'s own growth.
+pub fn write_function(out: &mut String, f: &Function) {
+    let _ = write!(out, "func {}(", f.name);
+    write_list(out, &f.param_regs);
+    let _ = writeln!(out, ") regs={} frame={} {{", f.num_regs, f.frame_size);
     for id in f.block_ids() {
         let b = f.block(id);
         let entry_mark = if id == f.entry { " ; entry" } else { "" };
         let _ = writeln!(out, "{id}:{entry_mark}");
         for inst in &b.insts {
-            let _ = writeln!(out, "    {}", print_inst(inst));
+            out.push_str("    ");
+            write_inst(out, inst);
+            out.push('\n');
         }
-        let _ = writeln!(out, "    {}", print_term(&b.term));
+        out.push_str("    ");
+        write_term(out, &b.term);
+        out.push('\n');
     }
-    let _ = writeln!(out, "}}");
-    out
+    out.push_str("}\n");
 }
 
-fn print_inst(inst: &Inst) -> String {
-    match inst {
-        Inst::Copy { dst, src } => format!("mov {dst}, {src}"),
+/// `items` joined by `", "`.
+fn write_list<T: std::fmt::Display>(out: &mut String, items: &[T]) {
+    for (i, item) in items.iter().enumerate() {
+        let sep = if i == 0 { "" } else { ", " };
+        let _ = write!(out, "{sep}{item}");
+    }
+}
+
+fn write_inst(out: &mut String, inst: &Inst) {
+    let _ = match inst {
+        Inst::Copy { dst, src } => write!(out, "mov {dst}, {src}"),
         Inst::Bin { op, dst, lhs, rhs } => {
-            format!("{} {dst}, {lhs}, {rhs}", op.mnemonic())
+            write!(out, "{} {dst}, {lhs}, {rhs}", op.mnemonic())
         }
-        Inst::Un { op, dst, src } => format!("{} {dst}, {src}", op.mnemonic()),
-        Inst::Cmp { lhs, rhs } => format!("cmp {lhs}, {rhs}"),
-        Inst::Load { dst, base, index } => format!("ld {dst}, [{base}+{index}]"),
-        Inst::Store { base, index, src } => format!("st [{base}+{index}], {src}"),
-        Inst::FrameAddr { dst, offset } => format!("lea {dst}, frame+{offset}"),
+        Inst::Un { op, dst, src } => write!(out, "{} {dst}, {src}", op.mnemonic()),
+        Inst::Cmp { lhs, rhs } => write!(out, "cmp {lhs}, {rhs}"),
+        Inst::Load { dst, base, index } => write!(out, "ld {dst}, [{base}+{index}]"),
+        Inst::Store { base, index, src } => write!(out, "st [{base}+{index}], {src}"),
+        Inst::FrameAddr { dst, offset } => write!(out, "lea {dst}, frame+{offset}"),
         Inst::Call { dst, callee, args } => {
-            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
-            let callee = match callee {
-                Callee::Func(id) => format!("{id:?}"),
-                Callee::Intrinsic(i) => i.name().to_string(),
-            };
-            match dst {
-                Some(d) => format!("call {d}, {callee}({})", args.join(", ")),
-                None => format!("call {callee}({})", args.join(", ")),
+            out.push_str("call ");
+            if let Some(d) = dst {
+                let _ = write!(out, "{d}, ");
             }
+            let _ = match callee {
+                Callee::Func(id) => write!(out, "{id:?}("),
+                Callee::Intrinsic(i) => write!(out, "{}(", i.name()),
+            };
+            write_list(out, args);
+            out.push(')');
+            Ok(())
         }
-        Inst::ProfileRanges { seq, var } => format!("profile {seq:?}, {var}"),
+        Inst::ProfileRanges { seq, var } => write!(out, "profile {seq:?}, {var}"),
         Inst::ProfileOutcomes { seq, conds } => {
-            let cs: Vec<String> = conds
-                .iter()
-                .map(|(l, r, c)| format!("{l} {} {r}", c.mnemonic()))
-                .collect();
-            format!("profile-outcomes {seq:?} [{}]", cs.join(", "))
+            let _ = write!(out, "profile-outcomes {seq:?} [");
+            for (i, (l, r, c)) in conds.iter().enumerate() {
+                let sep = if i == 0 { "" } else { ", " };
+                let _ = write!(out, "{sep}{l} {} {r}", c.mnemonic());
+            }
+            out.push(']');
+            Ok(())
         }
-    }
+    };
 }
 
-fn print_term(term: &Terminator) -> String {
-    match term {
+fn write_term(out: &mut String, term: &Terminator) {
+    let _ = match term {
         Terminator::Branch {
             cond,
             taken,
             not_taken,
-        } => format!("{} {taken} else {not_taken}", cond.mnemonic()),
-        Terminator::Jump(t) => format!("jmp {t}"),
+        } => write!(out, "{} {taken} else {not_taken}", cond.mnemonic()),
+        Terminator::Jump(t) => write!(out, "jmp {t}"),
         Terminator::IndirectJump { index, targets } => {
-            let ts: Vec<String> = targets.iter().map(|t| t.to_string()).collect();
-            format!("ijmp {index}, [{}]", ts.join(", "))
+            let _ = write!(out, "ijmp {index}, [");
+            write_list(out, targets);
+            out.push(']');
+            Ok(())
         }
-        Terminator::Return(Some(v)) => format!("ret {v}"),
-        Terminator::Return(None) => "ret".to_string(),
-    }
+        Terminator::Return(Some(v)) => write!(out, "ret {v}"),
+        Terminator::Return(None) => write!(out, "ret"),
+    };
 }
 
 /// Render a whole module. The output is complete enough to be read back
@@ -125,7 +143,7 @@ pub fn print_module(m: &Module) -> String {
         let _ = writeln!(out, "main {main:?}");
     }
     for f in &m.functions {
-        out.push_str(&print_function(f));
+        write_function(&mut out, f);
     }
     out
 }

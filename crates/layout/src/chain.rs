@@ -8,13 +8,26 @@
 //! merged chain's new tail would enable — so a slightly lighter edge
 //! that unlocks a heavy continuation wins over a greedy dead end.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use br_ir::{BlockId, Function};
 
 use crate::{EdgeWeights, LayoutParams};
 
+/// No block: the end of a chain's block list.
+const NONE: usize = usize::MAX;
+
 /// Form chains and concatenate them into a full block order, entry
 /// first. Deterministic: edges are ranked `(weight desc, src asc, dst
 /// asc)` and every tie-breaker is total.
+///
+/// Chains only grow by tail-to-head merges, so an edge whose source
+/// stops being a tail, or whose destination stops being a head, never
+/// becomes mergeable again: it is unlinked from the ranked list the
+/// first time a scan finds it dead. Each chain is a linked list of
+/// blocks, and a merge relabels the smaller side, so forming all chains
+/// costs O(E log E + n log n).
 pub(crate) fn form_chains(
     f: &Function,
     weights: &EdgeWeights,
@@ -22,8 +35,13 @@ pub(crate) fn form_chains(
 ) -> Vec<BlockId> {
     let n = f.blocks.len();
     let entry = f.entry.index();
+    // Chain ids are block ids: chain `c` runs from `head[c]` through
+    // `next` to `tail[c]`, and holds `size[c]` blocks.
     let mut chain_of: Vec<usize> = (0..n).collect();
-    let mut chains: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
+    let mut head: Vec<usize> = (0..n).collect();
+    let mut tail: Vec<usize> = (0..n).collect();
+    let mut size: Vec<usize> = vec![1; n];
+    let mut next: Vec<usize> = vec![NONE; n];
 
     let mut edges: Vec<(u64, usize, usize)> = weights
         .all_edges()
@@ -31,24 +49,33 @@ pub(crate) fn form_chains(
         .map(|(s, d, w)| (w, s.index(), d.index()))
         .collect();
     edges.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
+    // Edges still possibly mergeable, as a linked list in rank order.
+    let mut live_next: Vec<usize> = (1..=edges.len()).collect();
+    let mut live_first = 0usize;
 
+    let window = params.lookahead.max(1);
+    let mut cands: Vec<(u64, usize, usize)> = Vec::with_capacity(window);
     loop {
         // Mergeable edges in rank order: src must be its chain's tail,
         // dst a different chain's head, and the entry block can never
         // become an interior block (it must stay first overall).
-        let mut cands: Vec<(u64, usize, usize)> = Vec::new();
-        for &(w, s, d) in &edges {
+        cands.clear();
+        let mut prev = NONE;
+        let mut e = live_first;
+        while e < edges.len() && cands.len() < window {
+            let (w, s, d) = edges[e];
             let (cs, cd) = (chain_of[s], chain_of[d]);
-            if cs == cd || d == entry {
-                continue;
+            if cs == cd || d == entry || tail[cs] != s || head[cd] != d {
+                if prev == NONE {
+                    live_first = live_next[e];
+                } else {
+                    live_next[prev] = live_next[e];
+                }
+            } else {
+                cands.push((w, s, d));
+                prev = e;
             }
-            if *chains[cs].last().expect("nonempty chain") != s || chains[cd][0] != d {
-                continue;
-            }
-            cands.push((w, s, d));
-            if cands.len() >= params.lookahead.max(1) {
-                break;
-            }
+            e = live_next[e];
         }
         let Some(&first) = cands.first() else {
             break;
@@ -58,16 +85,15 @@ pub(crate) fn form_chains(
         let mut best_val = 0u128;
         for &(w, s, d) in &cands {
             let cd = chain_of[d];
-            let tail = *chains[cd].last().expect("nonempty chain");
             let follow = weights
-                .edges_from(BlockId(tail as u32))
+                .edges_from(BlockId(tail[cd] as u32))
                 .iter()
                 .filter(|&&(fd, fw)| {
                     let cf = chain_of[fd.index()];
                     fw > 0
                         && cf != chain_of[s]
                         && cf != cd
-                        && chains[cf][0] == fd.index()
+                        && head[cf] == fd.index()
                         && fd.index() != entry
                 })
                 .map(|&(_, fw)| fw)
@@ -81,14 +107,24 @@ pub(crate) fn form_chains(
         }
         let (_, s, d) = best;
         let (cs, cd) = (chain_of[s], chain_of[d]);
-        let moved = std::mem::take(&mut chains[cd]);
-        for &b in &moved {
-            chain_of[b] = cs;
+        next[s] = d;
+        let (keep, gone) = if size[cs] >= size[cd] {
+            (cs, cd)
+        } else {
+            (cd, cs)
+        };
+        let mut b = head[gone];
+        while b != NONE {
+            chain_of[b] = keep;
+            b = next[b];
         }
-        chains[cs].extend(moved);
+        head[keep] = head[cs];
+        tail[keep] = tail[cd];
+        size[keep] += size[gone];
     }
 
-    concat_chains(f, weights, &chains, chain_of[entry])
+    let heads = (0..n).filter(|&c| chain_of[c] == c).map(|c| head[c]);
+    concat_chains(f, weights, heads, &next, entry)
 }
 
 /// Concatenate chains: the entry chain first, then repeatedly the chain
@@ -97,58 +133,63 @@ pub(crate) fn form_chains(
 /// head-id order — unreachable and never-profiled blocks keep a stable
 /// position. Structural successors count as weight-0 edges so cold
 /// chains still prefer a spot after a block that targets them.
+///
+/// Each head's best incoming weight and `reached` flag only grow as
+/// blocks are placed, so they are updated once per placed block's
+/// edges, and the pick is the top of a heap whose stale entries are
+/// skipped.
 fn concat_chains(
     f: &Function,
     weights: &EdgeWeights,
-    chains: &[Vec<usize>],
-    entry_chain: usize,
+    heads: impl Iterator<Item = usize>,
+    next: &[usize],
+    entry: usize,
 ) -> Vec<BlockId> {
     let n = f.blocks.len();
+    // Heads of the chains not placed yet.
+    let mut unplaced = vec![false; n];
+    let mut heap: BinaryHeap<(u64, bool, Reverse<usize>)> = BinaryHeap::new();
+    for h in heads {
+        unplaced[h] = true;
+        if h != entry {
+            heap.push((0, false, Reverse(h)));
+        }
+    }
+    // (best incoming weight, reached) per block, from the placed region.
+    let mut key: Vec<(u64, bool)> = vec![(0, false); n];
     let mut order: Vec<BlockId> = Vec::with_capacity(n);
-    let mut placed_chain = vec![false; chains.len()];
-    let mut remaining: Vec<usize> = (0..chains.len())
-        .filter(|&c| c != entry_chain && !chains[c].is_empty())
-        .collect();
-    placed_chain[entry_chain] = true;
-    order.extend(chains[entry_chain].iter().map(|&b| BlockId(b as u32)));
-
-    while !remaining.is_empty() {
-        // (weight, reached) of each remaining chain's head from the
-        // placed region.
-        let mut pick: Option<(u64, bool, usize, usize)> = None; // (w, reached, head, idx)
-        for (idx, &c) in remaining.iter().enumerate() {
-            let head = chains[c][0];
-            let mut w = 0u64;
-            let mut reached = false;
-            for &p in &order {
-                for &(dst, ew) in weights.edges_from(p) {
-                    if dst.index() == head {
-                        reached = true;
-                        w = w.max(ew);
+    let mut h = entry;
+    loop {
+        unplaced[h] = false;
+        let mut p = h;
+        while p != NONE {
+            order.push(BlockId(p as u32));
+            let structural = f.blocks[p].term.successors().into_iter().map(|t| (t, 0));
+            for (dst, ew) in weights
+                .edges_from(BlockId(p as u32))
+                .iter()
+                .copied()
+                .chain(structural)
+            {
+                let old = key[dst.index()];
+                let new = (old.0.max(ew), true);
+                if new != old {
+                    key[dst.index()] = new;
+                    if unplaced[dst.index()] {
+                        heap.push((new.0, new.1, Reverse(dst.index())));
                     }
                 }
-                if f.blocks[p.index()]
-                    .term
-                    .successors()
-                    .iter()
-                    .any(|t| t.index() == head)
-                {
-                    reached = true;
-                }
             }
-            let better = match pick {
-                None => true,
-                Some((bw, br, bh, _)) => {
-                    (w, reached, std::cmp::Reverse(head)) > (bw, br, std::cmp::Reverse(bh))
-                }
-            };
-            if better {
-                pick = Some((w, reached, head, idx));
-            }
+            p = next[p];
         }
-        let (_, _, _, idx) = pick.expect("remaining is nonempty");
-        let c = remaining.remove(idx);
-        order.extend(chains[c].iter().map(|&b| BlockId(b as u32)));
+        // The best remaining head; entries for placed chains and keys
+        // that have since grown are stale.
+        let picked = std::iter::from_fn(|| heap.pop())
+            .find(|&(w, reached, Reverse(h))| unplaced[h] && key[h] == (w, reached));
+        match picked {
+            Some((_, _, Reverse(next_head))) => h = next_head,
+            None => break,
+        }
     }
     debug_assert_eq!(order.len(), n);
     order

@@ -162,7 +162,8 @@ impl EdgeWeights {
         EdgeWeights { out }
     }
 
-    /// Successor edges of `b`, heaviest first (ties: successor id).
+    /// Successor edges of `b` in terminator order: a branch's taken arm,
+    /// then its not-taken arm.
     pub fn edges_from(&self, b: BlockId) -> &[(BlockId, u64)] {
         self.out.get(b.index()).map_or(&[], |v| v)
     }

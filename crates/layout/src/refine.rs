@@ -11,7 +11,7 @@
 
 use br_ir::BlockId;
 
-use crate::score::score_order;
+use crate::score::Scorer;
 use crate::{EdgeWeights, LayoutParams};
 
 /// Refine `order` in place. First-improvement hill climbing: passes over
@@ -24,16 +24,27 @@ pub(crate) fn refine(
     f: &br_ir::Function,
     weights: &EdgeWeights,
     params: &LayoutParams,
-    order: &mut Vec<BlockId>,
+    order: &mut [BlockId],
 ) {
     let n = order.len();
     if n <= 3 || params.move_budget == 0 {
         return;
     }
+    // Weighted `(dst, src)` edges sorted by destination, so a segment's
+    // insertion targets cost its own edges rather than a scan of the
+    // whole function.
+    let mut in_edges: Vec<(BlockId, BlockId)> = weights
+        .all_edges()
+        .filter(|&(_, _, w)| w > 0)
+        .map(|(src, dst, _)| (dst, src))
+        .collect();
+    in_edges.sort_unstable();
+    let mut scorer = Scorer::default();
     let mut budget = params.move_budget;
-    let mut best = score_order(f, weights, params, order);
+    let mut best = scorer.score(f, weights, params, order);
+    let mut pos = vec![0usize; n];
+    let mut targets: Vec<usize> = Vec::new();
     'passes: loop {
-        let mut pos = vec![0usize; n];
         for (i, &b) in order.iter().enumerate() {
             pos[b.index()] = i;
         }
@@ -47,18 +58,17 @@ pub(crate) fn refine(
                 // Insertion points that could create a new fall-through:
                 // right after a predecessor of the segment head, or right
                 // before a successor of the segment tail.
-                let mut targets: Vec<usize> = Vec::new();
-                for (src, dst, w) in weights.all_edges() {
-                    if w == 0 {
-                        continue;
-                    }
-                    if dst == head {
-                        targets.push(pos[src.index()] + 1);
-                    }
-                    if src == tail {
-                        targets.push(pos[dst.index()]);
-                    }
-                }
+                targets.clear();
+                let from = in_edges.partition_point(|&(dst, _)| dst < head);
+                let preds = in_edges[from..].iter().take_while(|&&(dst, _)| dst == head);
+                targets.extend(preds.map(|&(_, src)| pos[src.index()] + 1));
+                targets.extend(
+                    weights
+                        .edges_from(tail)
+                        .iter()
+                        .filter(|&&(_, w)| w > 0)
+                        .map(|&(d, _)| pos[d.index()]),
+                );
                 targets.sort_unstable();
                 targets.dedup();
                 for &j in &targets {
@@ -71,13 +81,13 @@ pub(crate) fn refine(
                         break 'passes;
                     }
                     budget -= 1;
-                    let candidate = relocated(order, i, len, j);
-                    let s = score_order(f, weights, params, &candidate);
+                    relocate(order, i, len, j);
+                    let s = scorer.score(f, weights, params, order);
                     if s > best {
                         best = s;
-                        *order = candidate;
                         continue 'passes;
                     }
+                    unrelocate(order, i, len, j);
                 }
             }
         }
@@ -85,41 +95,62 @@ pub(crate) fn refine(
     }
 }
 
-/// `order` with the segment `[i, i+len)` removed and re-inserted so its
-/// head lands where position `j` (an index into the *original* order)
-/// used to be.
-fn relocated(order: &[BlockId], i: usize, len: usize, j: usize) -> Vec<BlockId> {
-    let mut rest: Vec<BlockId> = Vec::with_capacity(order.len());
-    rest.extend_from_slice(&order[..i]);
-    rest.extend_from_slice(&order[i + len..]);
-    let at = if j > i { j - len } else { j };
-    let mut out = Vec::with_capacity(order.len());
-    out.extend_from_slice(&rest[..at]);
-    out.extend_from_slice(&order[i..i + len]);
-    out.extend_from_slice(&rest[at..]);
-    out
+/// Move the segment `[i, i+len)` of `order` so its head lands where
+/// position `j` (an index into the order before the move) used to be.
+fn relocate(order: &mut [BlockId], i: usize, len: usize, j: usize) {
+    if j > i {
+        order[i..j].rotate_left(len);
+    } else {
+        order[j..i + len].rotate_right(len);
+    }
+}
+
+/// Undo [`relocate`] with the same arguments.
+fn unrelocate(order: &mut [BlockId], i: usize, len: usize, j: usize) {
+    if j > i {
+        order[i..j].rotate_right(len);
+    } else {
+        order[j..i + len].rotate_left(len);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::score_order;
     use br_ir::{Cond, FuncBuilder, Operand, Terminator};
 
+    /// The move spelled out: remove the segment, re-insert it.
+    fn relocated_copy(order: &[BlockId], i: usize, len: usize, j: usize) -> Vec<BlockId> {
+        let mut rest: Vec<BlockId> = order[..i].to_vec();
+        rest.extend_from_slice(&order[i + len..]);
+        let at = if j > i { j - len } else { j };
+        let mut out = rest[..at].to_vec();
+        out.extend_from_slice(&order[i..i + len]);
+        out.extend_from_slice(&rest[at..]);
+        out
+    }
+
     #[test]
-    fn relocation_preserves_permutation() {
+    fn relocation_moves_the_segment_and_undoes() {
         let order: Vec<BlockId> = (0..6).map(BlockId).collect();
         for i in 1..6 {
             for len in 1..=2 {
                 if i + len > 6 {
                     continue;
                 }
-                for j in 1..6 {
+                for j in 1..=6 {
                     if j == i || (j > i && j < i + len) {
                         continue;
                     }
-                    let mut r = relocated(&order, i, len, j);
-                    assert_eq!(r.len(), 6);
-                    r.sort_by_key(|b| b.index());
+                    let mut r = order.clone();
+                    relocate(&mut r, i, len, j);
+                    assert_eq!(
+                        r,
+                        relocated_copy(&order, i, len, j),
+                        "i={i} len={len} j={j}"
+                    );
+                    unrelocate(&mut r, i, len, j);
                     assert_eq!(r, order, "i={i} len={len} j={j}");
                 }
             }

@@ -19,42 +19,63 @@ pub fn score_order(
     params: &LayoutParams,
     order: &[BlockId],
 ) -> u128 {
-    let n = f.blocks.len();
-    debug_assert_eq!(order.len(), n, "order must be a full permutation");
-    let mut pos = vec![0usize; n];
-    for (i, &b) in order.iter().enumerate() {
-        pos[b.index()] = i;
-    }
-    // Start address of each *position* and the block length at it.
-    let mut start = vec![0u64; n];
-    let mut len_at = vec![0u64; n];
-    let mut addr = 0u64;
-    for (i, &b) in order.iter().enumerate() {
-        start[i] = addr;
-        len_at[i] = f.blocks[b.index()].insts.len() as u64 + 1;
-        addr += len_at[i];
-    }
-    let mut score: u128 = 0;
-    for (src, dst, w) in weights.all_edges() {
-        if w == 0 {
-            continue;
+    Scorer::default().score(f, weights, params, order)
+}
+
+/// [`score_order`] with its per-position buffers kept between calls,
+/// for callers that score many candidate orders of one function.
+#[derive(Default)]
+pub(crate) struct Scorer {
+    pos: Vec<usize>,
+    /// Start address of each *position* and the block length at it.
+    start: Vec<u64>,
+    len_at: Vec<u64>,
+}
+
+impl Scorer {
+    pub(crate) fn score(
+        &mut self,
+        f: &Function,
+        weights: &EdgeWeights,
+        params: &LayoutParams,
+        order: &[BlockId],
+    ) -> u128 {
+        let n = f.blocks.len();
+        debug_assert_eq!(order.len(), n, "order must be a full permutation");
+        let Scorer { pos, start, len_at } = self;
+        pos.resize(n, 0);
+        start.clear();
+        len_at.clear();
+        let mut addr = 0u64;
+        for (i, &b) in order.iter().enumerate() {
+            pos[b.index()] = i;
+            let len = f.blocks[b.index()].insts.len() as u64 + 1;
+            start.push(addr);
+            len_at.push(len);
+            addr += len;
         }
-        let ps = pos[src.index()];
-        let pd = pos[dst.index()];
-        let gain = if pd == ps + 1 {
-            params.fallthrough_gain
-        } else if pd > ps {
-            // Forward jump: distance from src's terminator to dst.
-            let d = start[pd] - (start[ps] + len_at[ps]);
-            band(d, params.forward_window, params.forward_gain)
-        } else {
-            // Backward jump (including a self-loop's trip to its start).
-            let d = (start[ps] + len_at[ps]) - start[pd];
-            band(d, params.backward_window, params.backward_gain)
-        };
-        score += w as u128 * gain as u128;
+        let mut score: u128 = 0;
+        for (src, dst, w) in weights.all_edges() {
+            if w == 0 {
+                continue;
+            }
+            let ps = pos[src.index()];
+            let pd = pos[dst.index()];
+            let gain = if pd == ps + 1 {
+                params.fallthrough_gain
+            } else if pd > ps {
+                // Forward jump: distance from src's terminator to dst.
+                let d = start[pd] - (start[ps] + len_at[ps]);
+                band(d, params.forward_window, params.forward_gain)
+            } else {
+                // Backward jump (including a self-loop's trip to its start).
+                let d = (start[ps] + len_at[ps]) - start[pd];
+                band(d, params.backward_window, params.backward_gain)
+            };
+            score += w as u128 * gain as u128;
+        }
+        score
     }
-    score
 }
 
 /// Linearly decaying band gain: `peak` at distance 0, zero at or beyond

@@ -44,6 +44,10 @@ pub fn hoist_loop_invariants(f: &mut Function) -> bool {
         }
     }
 
+    // A header's incoming edges are only ever rewritten by its own
+    // loop's preheader (loops have distinct headers), so one map serves
+    // every loop below.
+    let preds = predecessors(f);
     let mut changed = false;
     // Innermost-last ordering is not tracked; process each loop
     // independently (a second pass of the optimizer pipeline catches
@@ -85,9 +89,8 @@ pub fn hoist_loop_invariants(f: &mut Function) -> bool {
             insts: hoisted,
             term: Terminator::Jump(header),
         });
-        let preds = predecessors(f);
         for &p in &preds[header.index()] {
-            if p == preheader || lp.contains(p) {
+            if lp.contains(p) {
                 continue; // back edges stay on the header
             }
             f.block_mut(p)

@@ -6,17 +6,19 @@ use br_ir::{predecessors, Function, Terminator};
 /// Merge single-predecessor straight-line pairs. Returns whether anything
 /// changed. (Leaves unreachable husks behind; run
 /// [`crate::dce::remove_unreachable_blocks`] afterwards.)
+///
+/// One pass in block order. A merge moves the absorbed block's outgoing
+/// edges to the host, so every other block keeps its predecessor count,
+/// and only the host can become mergeable again: it is re-tested before
+/// the pass moves on. This gives the same merges, in the same order, as
+/// restarting from block 0 after each one.
 pub fn merge_blocks(f: &mut Function) -> bool {
+    let mut pred_count: Vec<usize> = predecessors(f).iter().map(Vec::len).collect();
     let mut changed = false;
-    loop {
-        let preds = predecessors(f);
-        let mut merged_one = false;
-        for b in 0..f.blocks.len() {
-            let Terminator::Jump(t) = f.blocks[b].term else {
-                continue;
-            };
-            if t.index() == b || t == f.entry || preds[t.index()].len() != 1 {
-                continue;
+    for b in 0..f.blocks.len() {
+        while let Terminator::Jump(t) = f.blocks[b].term {
+            if t.index() == b || t == f.entry || pred_count[t.index()] != 1 {
+                break;
             }
             // Absorb t into b.
             let absorbed = std::mem::replace(
@@ -27,14 +29,11 @@ pub fn merge_blocks(f: &mut Function) -> bool {
             host.insts.extend(absorbed.insts);
             host.term = absorbed.term;
             // The husk at t is now unreachable (its only pred was b).
-            merged_one = true;
+            pred_count[t.index()] = 0;
             changed = true;
-            break; // predecessor lists are stale; recompute.
-        }
-        if !merged_one {
-            return changed;
         }
     }
+    changed
 }
 
 #[cfg(test)]

@@ -26,7 +26,6 @@ use br_reorder::pipeline::SequenceKind;
 use br_reorder::profile::plan_ranges;
 use br_reorder::{
     detect_all, instrument_module, profiles_from_run, reorder_module, ReorderOptions,
-    SequenceOutcome,
 };
 use br_sweep::cache::{fnv1a, ArtifactCache, FORMAT_VERSION};
 use br_vm::{function_counters, pct_change, run, VmOptions};
@@ -341,24 +340,15 @@ fn reorder_endpoint(sections: &[OwnedSection]) -> Result<Vec<u8>, String> {
             SequenceKind::RangeConditions => "range",
             SequenceKind::CommonSuccessor => "common",
         };
-        let outcome = match s.outcome {
-            SequenceOutcome::Reordered {
-                new_branches,
-                new_compares,
-                original_cost,
-                new_cost,
-            } => format!("reordered {new_branches} {new_compares} {original_cost:?} {new_cost:?}"),
-            SequenceOutcome::NeverExecuted => "never".to_string(),
-            SequenceOutcome::NoImprovement => "noimp".to_string(),
-        };
         sequences.push_str(&format!(
-            "{kind} {} {} {} {} {} {} {outcome}\n",
+            "{kind} {} {} {} {} {} {} {}\n",
             s.structure,
             s.func.0,
             s.head.0,
             s.original_branches,
             s.conditions,
-            s.training_executions
+            s.training_executions,
+            s.outcome
         ));
     }
 

@@ -75,24 +75,15 @@ pub fn write_reorder(report: &ReorderReport) -> String {
             SequenceKind::RangeConditions => "range",
             SequenceKind::CommonSuccessor => "common",
         };
-        let outcome = match s.outcome {
-            SequenceOutcome::Reordered {
-                new_branches,
-                new_compares,
-                original_cost,
-                new_cost,
-            } => format!("reordered {new_branches} {new_compares} {original_cost:?} {new_cost:?}"),
-            SequenceOutcome::NeverExecuted => "never".to_string(),
-            SequenceOutcome::NoImprovement => "noimp".to_string(),
-        };
         out.push_str(&format!(
-            "{kind} {} {} {} {} {} {} {outcome}\n",
+            "{kind} {} {} {} {} {} {} {}\n",
             s.structure,
             s.func.0,
             s.head.0,
             s.original_branches,
             s.conditions,
-            s.training_executions
+            s.training_executions,
+            s.outcome
         ));
     }
     let empty = Vec::new();
@@ -132,7 +123,8 @@ pub fn read_reorder(text: &str) -> Option<ReorderReport> {
     let mut sequences = Vec::with_capacity(n);
     for _ in 0..n {
         let line = lines.next()?;
-        let mut f = line.split(' ');
+        // Seven fixed fields, then the outcome's own words.
+        let mut f = line.splitn(8, ' ');
         let kind = match f.next()? {
             "range" => SequenceKind::RangeConditions,
             "common" => SequenceKind::CommonSuccessor,
@@ -144,17 +136,7 @@ pub fn read_reorder(text: &str) -> Option<ReorderReport> {
         let original_branches = f.next()?.parse().ok()?;
         let conditions = f.next()?.parse().ok()?;
         let training_executions = f.next()?.parse().ok()?;
-        let outcome = match f.next()? {
-            "reordered" => SequenceOutcome::Reordered {
-                new_branches: f.next()?.parse().ok()?,
-                new_compares: f.next()?.parse().ok()?,
-                original_cost: f.next()?.parse().ok()?,
-                new_cost: f.next()?.parse().ok()?,
-            },
-            "never" => SequenceOutcome::NeverExecuted,
-            "noimp" => SequenceOutcome::NoImprovement,
-            _ => return None,
-        };
+        let outcome = SequenceOutcome::parse(f.next()?)?;
         sequences.push(SequenceRecord {
             kind,
             structure,
@@ -395,6 +377,51 @@ mod tests {
             print_module(&report.module),
             "module must survive the round trip"
         );
+    }
+
+    #[test]
+    fn every_sequence_outcome_roundtrips() {
+        use br_reorder::{DispatchStructure, Stage};
+        let outcomes = [
+            SequenceOutcome::Reordered {
+                new_branches: 5,
+                new_compares: 4,
+                original_cost: 7.25,
+                new_cost: 2.0 / 3.0,
+            },
+            SequenceOutcome::NeverExecuted,
+            SequenceOutcome::NoImprovement,
+            SequenceOutcome::Refused(Stage::Detect),
+            SequenceOutcome::Refused(Stage::Order),
+            SequenceOutcome::Refused(Stage::Emit),
+            SequenceOutcome::Refused(Stage::Cleanup),
+            SequenceOutcome::Refused(Stage::Layout),
+        ];
+        let sequences: Vec<SequenceRecord> = outcomes
+            .iter()
+            .enumerate()
+            .map(|(i, outcome)| SequenceRecord {
+                kind: SequenceKind::RangeConditions,
+                structure: DispatchStructure::Chain,
+                func: FuncId(0),
+                head: BlockId(i as u32),
+                original_branches: 3,
+                conditions: 3,
+                training_executions: 40 + i as u64,
+                outcome: outcome.clone(),
+            })
+            .collect();
+        let report = ReorderReport {
+            module: br_ir::Module::new(),
+            sequences,
+            validation: None,
+        };
+        let text = write_reorder(&report);
+        assert!(text.contains(" refused order\n"), "{text}");
+        let back = read_reorder(&text).expect("parses");
+        assert_eq!(back.sequences, report.sequences);
+        // A stage name the reader does not know is a miss, not a guess.
+        assert!(read_reorder(&text.replace("refused order", "refused sideways")).is_none());
     }
 
     #[test]

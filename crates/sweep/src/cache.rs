@@ -20,8 +20,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Incremented whenever an artifact format or a stage's semantics
 /// change, so old cache directories are silently invalidated.
 /// (`v2`: reorder artifacts carry proof certificates. `v3`: sequence
-/// records carry the deployed dispatch structure — Set IV.)
-pub const FORMAT_VERSION: &str = "v3";
+/// records carry the deployed dispatch structure — Set IV. `v4`: a
+/// sequence whose reordering was refused or refuted reads `refused
+/// STAGE`, no longer `never`.)
+pub const FORMAT_VERSION: &str = "v4";
 
 /// 64-bit FNV-1a over a sequence of length-delimited parts.
 ///

@@ -395,12 +395,18 @@ fn validate_one(module: &Module, train: &[u8], label: &str, opt_tree: bool, verb
         return false;
     };
     for s in &report.sequences {
-        if matches!(s.outcome, SequenceOutcome::NeverExecuted) && verbose {
-            println!(
+        match s.outcome {
+            SequenceOutcome::NeverExecuted if verbose => println!(
                 "{label}: warning[BR0105]: sequence at {:?}/{:?} has zero profile \
                  coverage — left in original order",
                 s.func, s.head
-            );
+            ),
+            SequenceOutcome::Refused(stage) if verbose => println!(
+                "{label}: note: sequence at {:?}/{:?} executed {} times but its \
+                 reordering was refused at the {stage} stage — left in original order",
+                s.func, s.head, s.training_executions
+            ),
+            _ => {}
         }
     }
     println!("{label}: {summary}");
