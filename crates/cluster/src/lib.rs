@@ -22,8 +22,10 @@
 //!   the router in-process, and reaps the tree on drain.
 //!
 //! Responses are byte-identical to a single daemon's — the router
-//! forwards frames verbatim in both directions — so everything pinned
-//! about `brs1`/`brs2` equivalence holds through the cluster too.
+//! forwards payloads verbatim in both directions — so everything pinned
+//! about a daemon's answers holds through the cluster too. The router
+//! reads frames with the daemon's own connection loop
+//! ([`br_serve::server::serve_frames`]).
 
 pub mod ring;
 pub mod router;

@@ -41,12 +41,11 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use br_serve::proto::{self, AnyFrame, Frame, MAX_PAYLOAD};
+use br_serve::metrics::Metrics;
 use br_serve::proto2::{
-    self, batch_items, batch_replies, module_hash, push_batch_item, push_batch_reply, BatchReply,
-    Client2, Frame2,
+    self, batch_items, batch_replies, module_hash, push_batch_item, BatchReply, Client2, Frame2,
 };
-use br_serve::server::FrameReader;
+use br_serve::server::serve_frames;
 use br_sweep::cache::fnv1a;
 
 use crate::ring::Ring;
@@ -101,8 +100,6 @@ pub struct RouterMetrics {
     pub replications: AtomicU64,
     /// Requests answered from the hot-key memo.
     pub memo_hits: AtomicU64,
-    /// `brs1` frames refused (the router speaks `brs2`).
-    pub mismatch: AtomicU64,
     /// Oversized frames answered and drained.
     pub oversized: AtomicU64,
     /// Shards ejected by the health prober.
@@ -113,7 +110,8 @@ pub struct RouterMetrics {
 
 impl RouterMetrics {
     /// Plaintext rendering, one `br_cluster_<name>_total` line per
-    /// counter (the `metrics` endpoint's payload, minus shard gauges).
+    /// counter (the `metrics` endpoint's payload, minus the per-shard
+    /// liveness gauges and the shards' summed cache hits).
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -124,7 +122,6 @@ impl RouterMetrics {
             ("unrouteable", &self.unrouteable),
             ("replications", &self.replications),
             ("memo_hits", &self.memo_hits),
-            ("mismatch", &self.mismatch),
             ("oversized", &self.oversized),
             ("ejections", &self.ejections),
             ("readmissions", &self.readmissions),
@@ -355,6 +352,16 @@ fn probe_loop(state: &RouterState, shutdown: &AtomicBool) {
     }
 }
 
+/// One shard's `cache_hits` counter, read from its metrics endpoint
+/// with the health probe's timeouts.
+fn shard_cache_hits(state: &RouterState, shard: &ShardState) -> Option<u64> {
+    let timeout = Duration::from_millis(state.config.probe_interval_ms.max(10));
+    let response = Client2::connect_with(&shard.addr, timeout, Some(timeout))
+        .and_then(|mut c| c.call(&Frame2::request(proto2::kind::METRICS, &[])))
+        .ok()?;
+    Metrics::parse_counter(&response.payload_text(), "cache_hits")
+}
+
 /// The routing key of one request: the first module operand's content
 /// hash (from its body or its 8-byte hash section), falling back to a
 /// hash of the whole payload for section-less requests.
@@ -379,83 +386,23 @@ fn memo_key(kind: u8, payload: &[u8]) -> u64 {
 
 /// One router connection: read `brs2` frames, route, respond.
 fn route_connection(stream: TcpStream, state: &RouterState, shutdown: &AtomicBool) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-    let _ = stream.set_nodelay(true);
-    let mut reader = FrameReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    });
-    let mut writer = io::BufWriter::new(stream);
     // Shard connections are pooled per client connection: steady-state
     // forwarding reuses them, and the shard's per-connection intern
     // beliefs stay coherent with this client's.
     let mut pool: HashMap<usize, Client2> = HashMap::new();
-    loop {
-        reader.reset();
-        let any = match proto::read_any(&mut reader) {
-            Ok(Some(any)) => any,
-            Ok(None) => return,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if shutdown.load(Ordering::SeqCst) || br_serve::terminated() {
-                    return;
-                }
-                continue;
-            }
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                let _ = Frame2::error(proto2::code::PROTOCOL, &format!("protocol error: {e}"))
-                    .write_to(&mut writer);
-                return;
-            }
-            Err(_) => return,
-        };
-        let keep_going = match any {
-            AnyFrame::OversizedV1 { kind, len } => {
+    serve_frames(
+        stream,
+        || shutdown.load(Ordering::SeqCst) || br_serve::terminated(),
+        |refused| {
+            if refused == proto2::code::OVERSIZED {
                 state.metrics.oversized.fetch_add(1, Ordering::Relaxed);
-                Frame::text(
-                    "error",
-                    &format!(
-                        "oversized frame: {kind} declared {len} bytes, limit is {MAX_PAYLOAD}\n"
-                    ),
-                )
-                .write_to(&mut writer)
-                .is_ok()
             }
-            AnyFrame::OversizedV2 { kind, len } => {
-                state.metrics.oversized.fetch_add(1, Ordering::Relaxed);
-                Frame2::error(
-                    proto2::code::OVERSIZED,
-                    &format!(
-                        "oversized frame: opcode {kind} declared {len} bytes, limit is {MAX_PAYLOAD}"
-                    ),
-                )
-                .write_to(&mut writer)
-                .is_ok()
-            }
-            AnyFrame::V1(request) => {
-                state.metrics.mismatch.fetch_add(1, Ordering::Relaxed);
-                Frame::text(
-                    "error",
-                    &format!(
-                        "protocol mismatch: the cluster router speaks brs2 (binary), \
-                         the request was brs1 {:?}; reconnect with brs2 framing\n",
-                        request.kind
-                    ),
-                )
-                .write_to(&mut writer)
-                .is_ok()
-            }
-            AnyFrame::V2(request) => {
-                state.metrics.requests.fetch_add(1, Ordering::Relaxed);
-                let (response, keep_going) = route_frame(&request, state, shutdown, &mut pool);
-                response.write_to(&mut writer).is_ok() && keep_going
-            }
-        };
-        if !keep_going {
-            return;
-        }
-    }
+        },
+        |request| {
+            state.metrics.requests.fetch_add(1, Ordering::Relaxed);
+            route_frame(&request, state, shutdown, &mut pool)
+        },
+    );
 }
 
 /// Dispatch one `brs2` frame at the router: control verbs answered
@@ -480,14 +427,23 @@ fn route_frame(
         proto2::kind::METRICS => {
             use std::fmt::Write as _;
             let mut text = state.metrics.render();
+            let mut cache_hits = 0;
             for (i, shard) in state.shards.iter().enumerate() {
+                let alive = shard.alive.load(Ordering::SeqCst);
                 let _ = writeln!(
                     text,
                     "br_cluster_shard_alive{{shard=\"{i}\",addr=\"{}\"}} {}",
                     shard.addr,
-                    u8::from(shard.alive.load(Ordering::SeqCst))
+                    u8::from(alive)
                 );
+                if alive {
+                    cache_hits += shard_cache_hits(state, shard).unwrap_or(0);
+                }
             }
+            // The live shards' response-cache hits under the daemon's
+            // own metric name: a client reads a cluster's hits the way
+            // it reads one daemon's.
+            let _ = writeln!(text, "br_serve_cache_hits_total {cache_hits}");
             (Frame2::ok(0, text.into_bytes()), true)
         }
         proto2::kind::SHUTDOWN => {
@@ -505,35 +461,12 @@ fn route_frame(
                     )
                 }
             };
-            let replies = route_batch(&items, state, pool);
-            let mut payload = Vec::new();
-            for reply in &replies {
-                push_batch_reply(&mut payload, reply);
-            }
             (
-                Frame2 {
-                    kind: proto2::kind::OK,
-                    flags: proto2::flags::BATCH,
-                    code: proto2::code::OK,
-                    aux: 0,
-                    payload,
-                },
+                proto2::batch_response(route_batch(&items, state, pool)),
                 true,
             )
         }
-        kind => {
-            let reply = route_item(kind, &request.payload, state, pool);
-            (
-                Frame2 {
-                    kind: reply.kind,
-                    flags: 0,
-                    code: reply.code,
-                    aux: reply.aux,
-                    payload: reply.payload,
-                },
-                true,
-            )
-        }
+        kind => (route_item(kind, &request.payload, state, pool).into(), true),
     }
 }
 
@@ -633,12 +566,7 @@ fn route_item(
             state.metrics.failovers.fetch_add(1, Ordering::Relaxed);
         }
         if let Some(response) = forward_to(shard, &request, state, pool) {
-            let reply = BatchReply {
-                kind: response.kind,
-                code: response.code,
-                aux: response.aux,
-                payload: response.payload,
-            };
+            let reply = BatchReply::from(response);
             finish_item(kind, payload, &reply, shard, state, pool);
             return reply;
         }
@@ -730,9 +658,14 @@ fn finish_item(
                         (proto2::sec::BODY, &reply.payload),
                     ],
                 );
-                if let Some(response) = forward_to(successor, &put, state, pool) {
-                    if response.kind == proto2::kind::OK {
-                        state.metrics.replications.fetch_add(1, Ordering::Relaxed);
+                // A reply at the frame limit leaves no room for the
+                // cacheput sections: it stays unreplicated rather than
+                // failing a healthy successor with a refused write.
+                if put.payload.len() <= proto2::MAX_PAYLOAD {
+                    if let Some(response) = forward_to(successor, &put, state, pool) {
+                        if response.kind == proto2::kind::OK {
+                            state.metrics.replications.fetch_add(1, Ordering::Relaxed);
+                        }
                     }
                 }
             }

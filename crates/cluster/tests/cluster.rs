@@ -12,9 +12,11 @@
 //!   router, zero client-visible errors);
 //! * a request repeated past the hot threshold is answered from the
 //!   router's memo without touching a shard;
-//! * `brs1` frames draw a structured mismatch error naming both
-//!   protocols, and the same connection then succeeds with `brs2`;
-//! * draining the router propagates the shutdown to every shard.
+//! * bytes that are not a `brs2` frame draw a `code::PROTOCOL` error
+//!   naming `brs2`, and a fresh connection is then served;
+//! * draining the router propagates the shutdown to every shard, and
+//!   `loadgen --shutdown` drives a whole run through a router and
+//!   drains it, reading the shards' cache hits from the router.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -24,9 +26,9 @@ use br_cluster::ring::Ring;
 use br_cluster::router::{Router, RouterConfig, RouterMetrics};
 use br_ir::print_module;
 use br_minic::{compile, HeuristicSet, Options};
-use br_serve::proto::Frame;
-use br_serve::proto2::{self, module_hash, Client2, Frame2, ModuleRef};
+use br_serve::proto2::{self, module_hash, response_sections, Client2, Frame2, ModuleRef};
 use br_serve::server::{ServeConfig, Server};
+use br_serve::{run_loadgen, LoadgenConfig};
 
 struct Shard {
     addr: String,
@@ -141,15 +143,15 @@ fn routed_reorder_is_byte_identical_to_single_daemon_and_in_process() {
         );
 
         // And both match the in-process pipeline, certificates included.
-        let as_v1 = Frame {
-            kind: "ok".to_string(),
-            payload: routed.payload.clone(),
+        let sections = response_sections(&routed.payload).expect("structured response");
+        let section = |name: &str| {
+            sections
+                .iter()
+                .find(|(n, _)| *n == name)
+                .map(|(_, bytes)| *bytes)
+                .unwrap_or_else(|| panic!("{name} section"))
         };
-        let sections = as_v1.sections().expect("structured response");
-        let served = br_serve::proto::section(&sections, "module")
-            .expect("module section")
-            .text()
-            .expect("utf8");
+        let served = std::str::from_utf8(section("module")).expect("utf8");
         let w = br_workloads::by_name(name).unwrap();
         let mut module =
             compile(w.source, &Options::with_heuristics(HeuristicSet::SET_I)).expect("compiles");
@@ -165,8 +167,7 @@ fn routed_reorder_is_byte_identical_to_single_daemon_and_in_process() {
             print_module(&local.module),
             "{name}: routed answer must match the in-process pipeline bit-for-bit"
         );
-        let certs = br_serve::proto::section(&sections, "certs").expect("certs section");
-        assert!(!certs.bytes.is_empty(), "{name}: certs must travel");
+        assert!(!section("certs").is_empty(), "{name}: certs must travel");
     }
 
     // Batched through the router: same bytes, split across shards.
@@ -357,34 +358,73 @@ fn hot_requests_are_answered_from_the_router_memo() {
 }
 
 #[test]
-fn brs1_frame_draws_structured_mismatch_and_connection_recovers_with_brs2() {
+fn a_text_header_draws_a_protocol_error_and_a_fresh_connection_is_routed() {
+    use std::io::Write as _;
     let shard = start_shard(None);
     let (router, router_addr) = start_router(&[&shard], RouterConfig::default());
     let router_thread = std::thread::spawn(move || router.wait().expect("router drains"));
 
     let mut stream = std::net::TcpStream::connect(&router_addr).expect("connect");
-    Frame::text("health", "")
-        .write_to(&mut stream)
-        .expect("send v1");
-    let refused = Frame::read_from(&mut stream)
-        .expect("answered in v1")
-        .expect("not EOF");
-    assert_eq!(refused.kind, "error");
+    stream
+        .write_all(b"brs1 health 0\n")
+        .expect("send a text header");
+    let refused = Frame2::read_from(&mut stream).expect("answered in brs2");
+    assert_eq!(refused.kind, proto2::kind::ERROR);
+    assert_eq!(refused.code, proto2::code::PROTOCOL);
     let text = refused.payload_text();
-    assert!(
-        text.contains("brs2") && text.contains("brs1"),
-        "mismatch must name both protocols: {text}"
-    );
-    // Same connection, correct protocol: routed and served.
-    Frame2::request(proto2::kind::HEALTH, &[])
-        .write_to(&mut stream)
-        .expect("send v2");
-    let ok = Frame2::read_from(&mut stream).expect("v2 answer");
-    assert_eq!(ok.kind, proto2::kind::OK);
+    assert!(text.contains("brs2"), "the error must name brs2: {text}");
     drop(stream);
-    assert_eq!(router_counter(&router_addr, "mismatch"), 1);
+
+    // A fresh connection in the right protocol: routed and served.
+    let mut client = Client2::connect(&router_addr).expect("reconnect");
+    let ok = client
+        .call(&Frame2::request(proto2::kind::HEALTH, &[]))
+        .expect("health");
+    assert_eq!(ok.kind, proto2::kind::OK);
+    drop(client);
 
     shutdown_router(&router_addr);
     router_thread.join().expect("router thread");
     shard.thread.join().expect("shard drained");
+}
+
+#[test]
+fn loadgen_shutdown_drains_the_router_and_reads_the_shards_cache_hits() {
+    let cache = temp_dir("loadgen");
+    let _ = std::fs::remove_dir_all(&cache);
+    let shard = start_shard(Some(cache.clone()));
+    let (router, router_addr) = start_router(
+        &[&shard],
+        RouterConfig {
+            hot_threshold: 0,
+            ..RouterConfig::default()
+        },
+    );
+    let router_thread = std::thread::spawn(move || router.wait().expect("router drains"));
+
+    // Two passes over the corpus: the second is answered from the
+    // shard's response cache, which the router's metrics report.
+    let report = run_loadgen(&LoadgenConfig {
+        addr: router_addr,
+        connections: 2,
+        passes: 2,
+        train_size: 256,
+        input_size: 256,
+        reorder_only: true,
+        shutdown_after: true,
+        ..LoadgenConfig::default()
+    })
+    .expect("loadgen runs and drains the router");
+    assert_eq!(report.errors, 0, "{:?}", report.error_samples);
+    let hits = report
+        .cache_hit_delta
+        .expect("the router reports the shards' cache hits");
+    assert!(hits > 0, "the second pass must hit the shard's cache");
+
+    router_thread.join().expect("router drained");
+    shard
+        .thread
+        .join()
+        .expect("shutdown propagated to the shard");
+    let _ = std::fs::remove_dir_all(&cache);
 }

@@ -60,7 +60,6 @@ fn warm_cluster_sustains_10x_the_single_daemon_baseline() {
         input_size: 512,
         reorder_only: true,
         shutdown_after: false,
-        brs2: true,
         batch: 1,
     };
     let warm_report = run_loadgen(&warm).expect("warm pass");

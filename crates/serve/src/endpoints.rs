@@ -1,22 +1,24 @@
 //! The daemon's compute endpoints: `reorder`, `measure`, `profile`.
 //!
-//! Each handler is a pure function from a request frame to a response
-//! frame — no connection state, no global state beyond the response
-//! cache — which is what lets the worker pool run them on any thread
-//! and `catch_unwind` treat a panic as just another error response.
+//! Each handler is a pure function from a request (opcode + `brs2`
+//! section payload) to a response — no connection state, no global
+//! state beyond the response cache — which is what lets the worker pool
+//! run them on any thread and `catch_unwind` treat a panic as just
+//! another error response.
 //!
 //! Payloads reuse the repo's existing text formats: modules travel as
 //! printed IR (`br_ir::print_module` / `parse_module`), results as CSV
-//! rows and the validator's `Display` lines. See [`crate::proto`] for
-//! the framing.
+//! rows and the validator's `Display` lines, in a named-section
+//! response body ([`proto2::response_sections`] reads it).
 //!
 //! **Response cache.** Responses are content-addressed in a
 //! [`br_sweep::cache::ArtifactCache`] — the same store, key scheme
 //! (length-delimited FNV-1a) and format-version discipline the sweep
-//! engine uses — keyed by (endpoint, module text, options, input
-//! bytes). The pipeline is deterministic, so two requests that agree on
-//! those bytes have byte-identical responses; a warm daemon answers
-//! repeat traffic without touching the VM at all.
+//! engine uses — keyed by the opcode and the request's sections with
+//! every content hash resolved to its module body. The pipeline is
+//! deterministic, so two requests that agree on those bytes have
+//! byte-identical responses, whether they sent a module by body or by
+//! hash; a warm daemon answers repeat traffic without touching the VM.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -32,48 +34,56 @@ use br_vm::{function_counters, pct_change, run, VmOptions};
 
 use crate::intern::ModuleIntern;
 use crate::metrics::Metrics;
-use crate::proto::{section, Frame, OwnedSection, Section};
-use crate::proto2::code;
+use crate::proto2::{self, code, kind, sec, BatchReply};
 
-/// A handled request: the `brs1` response frame plus the structured
-/// metadata `brs2` carries in its header.
-///
-/// `frame` is the whole story for a `brs1` client. A `brs2` endpoint
-/// additionally sends `code` (stable error taxonomy) and `cache_key`
-/// (the response-cache key, which a cluster router uses to replicate
-/// the entry to a successor shard) in the binary header — the payload
-/// bytes stay identical across protocols.
+/// A handled request: the fields a `brs2` response frame carries.
+#[derive(Debug)]
 pub struct Response {
-    /// The response frame (`ok` or `error`), protocol-v1 shaped.
-    pub frame: Frame,
+    /// `kind::OK` or `kind::ERROR`.
+    pub kind: u8,
     /// Stable response code ([`crate::proto2::code`]).
     pub code: u16,
     /// Response-cache key; 0 when the response is not cacheable.
     pub cache_key: u64,
+    /// The response body, or the error message.
+    pub payload: Vec<u8>,
 }
 
 impl Response {
     /// A successful response.
     pub fn ok(payload: Vec<u8>, cache_key: u64) -> Response {
         Response {
-            frame: Frame {
-                kind: "ok".to_string(),
-                payload,
-            },
+            kind: kind::OK,
             code: code::OK,
             cache_key,
+            payload,
         }
     }
 
     /// An error response with a stable code.
     pub fn error(code: u16, message: &str) -> Response {
         Response {
-            frame: Frame::text("error", message),
+            kind: kind::ERROR,
             code,
             cache_key: 0,
+            payload: message.as_bytes().to_vec(),
         }
     }
 }
+
+impl From<Response> for BatchReply {
+    fn from(response: Response) -> BatchReply {
+        BatchReply {
+            kind: response.kind,
+            code: response.code,
+            aux: response.cache_key,
+            payload: response.payload,
+        }
+    }
+}
+
+/// The sections of a request, every content hash resolved to its body.
+type Sections<'a> = [(u8, &'a [u8])];
 
 /// The shared endpoint state: response cache, metrics, debug gating.
 pub struct Endpoints {
@@ -116,173 +126,165 @@ impl Endpoints {
         })
     }
 
-    /// Dispatch one compute request. Unknown kinds and malformed
-    /// payloads come back as `error` frames; this function never
+    /// Dispatch one request by opcode. Unknown opcodes and malformed
+    /// payloads come back as error responses; this function never
     /// panics on bad input (a panic here is a bug, and the pool still
     /// contains it).
-    ///
-    /// Content-hash pseudo-sections (`module#`, `original#`,
-    /// `reordered#` — how `brs2` delta upload reaches the handler) are
-    /// resolved against the intern table *before* anything else, so the
-    /// response cache is keyed over resolved payloads and `brs1` and
-    /// `brs2` clients share cache entries byte-for-byte.
-    pub fn handle(&self, request: &Frame) -> Response {
-        let request = match self.resolve_hashes(request) {
-            Ok(resolved) => resolved,
-            Err(response) => return response,
-        };
-        let result = match request.kind.as_str() {
-            "reorder" => self.cached(&request, "reorder", reorder_endpoint),
-            "measure" => self.cached(&request, "measure", measure_endpoint),
-            "profile" => self.cached(&request, "profile", profile_endpoint),
-            "cacheput" => return self.cacheput(&request),
-            "sleep" if self.debug_endpoints => {
-                return match sleep_endpoint(&request) {
-                    Ok(frame) => Response {
-                        frame,
-                        code: code::OK,
-                        cache_key: 0,
-                    },
-                    Err(message) => Response::error(code::BAD_REQUEST, &message),
-                }
+    pub fn handle(&self, k: u8, payload: &[u8]) -> Response {
+        let endpoint = match k {
+            kind::REORDER => reorder_endpoint,
+            kind::MEASURE => measure_endpoint,
+            kind::PROFILE => profile_endpoint,
+            kind::CACHEPUT => return self.cacheput(payload),
+            kind::SLEEP if self.debug_endpoints => return sleep_endpoint(payload),
+            kind::PANIC if self.debug_endpoints => {
+                panic!("fault injection: {}", String::from_utf8_lossy(payload))
             }
-            "panic" if self.debug_endpoints => {
-                panic!("fault injection: {}", request.payload_text())
+            other => {
+                return Response::error(
+                    code::BAD_REQUEST,
+                    &format!("unknown request opcode {other}"),
+                )
             }
-            other => Err(format!("unknown request kind {other:?}")),
         };
-        match result {
-            Ok(response) => response,
-            Err(message) => Response::error(code::BAD_REQUEST, &message),
-        }
+        self.compute(k, payload, endpoint)
     }
 
-    /// Resolve `name#` hash pseudo-sections to interned bodies and
-    /// intern every full module body on sight. Requests without hash
-    /// sections pass through with their payload untouched.
-    fn resolve_hashes(&self, request: &Frame) -> Result<Frame, Response> {
-        // `name# <len>\n` can only appear if some section name ends in
-        // '#'; a cheap scan keeps the common full-body path parse-free.
-        let structured = matches!(request.kind.as_str(), "reorder" | "measure" | "profile");
-        if !structured {
-            return Ok(request.clone());
-        }
-        let Ok(sections) = request.sections() else {
-            // Leave malformed payloads for the endpoint's own error.
-            return Ok(request.clone());
+    /// Run a compute endpoint: resolve content-hash sections against
+    /// the intern table (interning every full module body on sight),
+    /// then answer through the response cache. The cache key covers the
+    /// opcode and the *resolved* sections, so a hash-referenced request
+    /// and its full-body twin share one entry; it travels back on the
+    /// response so a router can replicate the entry without re-deriving
+    /// it.
+    fn compute(
+        &self,
+        k: u8,
+        payload: &[u8],
+        endpoint: fn(&Sections<'_>) -> Result<Vec<u8>, String>,
+    ) -> Response {
+        let bad = |message: String| Response::error(code::BAD_REQUEST, &message);
+        let sections = match proto2::sections(payload) {
+            Ok(sections) => sections,
+            Err(e) => return bad(e),
         };
+        let mut bodies: Vec<Option<Arc<str>>> = Vec::with_capacity(sections.len());
         let mut missing: Vec<u64> = Vec::new();
-        let mut resolved: Vec<(String, Vec<u8>)> = Vec::with_capacity(sections.len());
-        let mut any_hash = false;
-        for s in &sections {
-            if let Some(body_name) = s.name.strip_suffix('#') {
-                any_hash = true;
-                if !matches!(body_name, "module" | "original" | "reordered") {
-                    return Err(Response::error(
-                        code::BAD_REQUEST,
-                        &format!("unknown hash section {:?}", s.name),
-                    ));
-                }
-                let bytes: [u8; 8] = match s.bytes.as_slice().try_into() {
-                    Ok(bytes) => bytes,
-                    Err(_) => {
-                        return Err(Response::error(
-                            code::BAD_REQUEST,
-                            &format!("hash section {:?} must be exactly 8 bytes", s.name),
-                        ))
-                    }
+        for &(id, bytes) in &sections {
+            if proto2::hash_target(id).is_some() {
+                let Ok(hash) = <[u8; 8]>::try_from(bytes) else {
+                    return bad(format!("hash section id {id} must be exactly 8 bytes"));
                 };
-                let hash = u64::from_le_bytes(bytes);
-                match self.intern.resolve(hash, &self.cache) {
-                    Some(text) => {
-                        resolved.push((body_name.to_string(), text.as_bytes().to_vec()));
-                    }
-                    None => missing.push(hash),
+                let hash = u64::from_le_bytes(hash);
+                let body = self.intern.resolve(hash, &self.cache);
+                if body.is_none() {
+                    missing.push(hash);
                 }
-            } else {
-                if matches!(s.name.as_str(), "module" | "original" | "reordered") {
-                    if let Ok(text) = s.text() {
-                        self.intern.insert(text, &self.cache);
-                    }
-                }
-                resolved.push((s.name.clone(), s.bytes.clone()));
+                bodies.push(body);
+                continue;
             }
+            if proto2::sec_name(id).is_none() {
+                return bad(format!("unknown brs2 section id {id}"));
+            }
+            if proto2::hash_of_body(id).is_some() {
+                if let Ok(text) = std::str::from_utf8(bytes) {
+                    self.intern.insert(text, &self.cache);
+                }
+            }
+            bodies.push(None);
         }
         if !missing.is_empty() {
             self.metrics.need_module.fetch_add(1, Ordering::Relaxed);
             let list: Vec<String> = missing.iter().map(|h| format!("{h:016x}")).collect();
-            return Err(Response::error(
+            return Response::error(
                 code::NEED_MODULE,
                 &format!("need-module {}", list.join(" ")),
-            ));
+            );
         }
-        if !any_hash {
-            return Ok(request.clone());
-        }
-        let borrowed: Vec<Section<'_>> = resolved
+        let resolved: Vec<(u8, &[u8])> = sections
             .iter()
-            .map(|(name, bytes)| Section { name, bytes })
+            .zip(&bodies)
+            .map(|(&(id, bytes), body)| match body {
+                Some(text) => (
+                    proto2::hash_target(id).expect("only hash sections resolve"),
+                    text.as_bytes(),
+                ),
+                None => (id, bytes),
+            })
             .collect();
-        Ok(Frame::structured(&request.kind, &borrowed))
+
+        let mut key_parts: Vec<&[u8]> = vec![
+            b"serve",
+            FORMAT_VERSION.as_bytes(),
+            std::slice::from_ref(&k),
+        ];
+        for (id, bytes) in &resolved {
+            key_parts.push(std::slice::from_ref(id));
+            key_parts.push(bytes);
+        }
+        let key = fnv1a(&key_parts);
+        if let Some(text) = self.cache.get(key) {
+            self.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
+            return Response::ok(text.into_bytes(), key);
+        }
+        self.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
+        match endpoint(&resolved) {
+            Ok(body) => {
+                // Responses are pure text (IR, CSV, validator lines), so
+                // the string store the sweep cache offers fits as-is.
+                if let Ok(text) = std::str::from_utf8(&body) {
+                    self.cache.put(key, text);
+                }
+                Response::ok(body, key)
+            }
+            Err(message) => bad(message),
+        }
     }
 
     /// `cacheput`: install a replicated response-cache entry (cluster
     /// routers push hot entries to the successor shard through this).
-    fn cacheput(&self, request: &Frame) -> Response {
-        let parse = || -> Result<(u64, String), String> {
-            let sections = request.sections()?;
-            let key = u64::from_str_radix(section(&sections, "key")?.text()?.trim(), 16)
+    fn cacheput(&self, payload: &[u8]) -> Response {
+        let parse = || -> Result<(u64, &str), String> {
+            let sections = proto2::sections(payload)?;
+            let key = u64::from_str_radix(text(&sections, sec::KEY)?.trim(), 16)
                 .map_err(|_| "key section must be 16 hex digits".to_string())?;
-            let body = section(&sections, "body")?.text()?.to_string();
-            Ok((key, body))
+            Ok((key, text(&sections, sec::BODY)?))
         };
         match parse() {
             Ok((key, body)) => {
-                self.cache.put(key, &body);
+                self.cache.put(key, body);
                 self.metrics.replicated.fetch_add(1, Ordering::Relaxed);
                 Response::ok(b"replicated\n".to_vec(), key)
             }
             Err(message) => Response::error(code::BAD_REQUEST, &message),
         }
     }
+}
 
-    /// Run `endpoint` through the response cache: key over the whole
-    /// (hash-resolved) request payload, store the whole response
-    /// payload. The key travels back on the response so a router can
-    /// replicate the entry without re-deriving it.
-    fn cached(
-        &self,
-        request: &Frame,
-        tag: &str,
-        endpoint: fn(&[OwnedSection]) -> Result<Vec<u8>, String>,
-    ) -> Result<Response, String> {
-        let key = fnv1a(&[
-            b"serve",
-            FORMAT_VERSION.as_bytes(),
-            tag.as_bytes(),
-            &request.payload,
-        ]);
-        if let Some(text) = self.cache.get(key) {
-            self.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(Response::ok(text.into_bytes(), key));
-        }
-        self.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
-        let sections = request.sections()?;
-        let payload = endpoint(&sections)?;
-        // Responses are pure text (IR, CSV, validator lines), so the
-        // string store the sweep cache offers fits as-is.
-        if let Ok(text) = std::str::from_utf8(&payload) {
-            self.cache.put(key, text);
-        }
-        Ok(Response::ok(payload, key))
-    }
+/// Find section `id` among a request's sections.
+fn section<'a>(sections: &Sections<'a>, id: u8) -> Result<&'a [u8], String> {
+    sections
+        .iter()
+        .find(|(i, _)| *i == id)
+        .map(|(_, bytes)| *bytes)
+        .ok_or_else(|| format!("missing section {}", proto2::sec_name(id).unwrap_or("?")))
+}
+
+/// Find section `id` and read it as UTF-8 text.
+fn text<'a>(sections: &Sections<'a>, id: u8) -> Result<&'a str, String> {
+    std::str::from_utf8(section(sections, id)?).map_err(|_| {
+        format!(
+            "section {} is not UTF-8",
+            proto2::sec_name(id).unwrap_or("?")
+        )
+    })
 }
 
 /// Parse and structurally verify a module section.
-fn module_section(sections: &[OwnedSection], name: &str) -> Result<Module, String> {
-    let text = section(sections, name)?.text()?;
-    let module =
-        parse_module(text).map_err(|e| format!("section {name}: IR parse error at {e}"))?;
+fn module_section(sections: &Sections<'_>, id: u8) -> Result<Module, String> {
+    let name = proto2::sec_name(id).unwrap_or("?");
+    let module = parse_module(text(sections, id)?)
+        .map_err(|e| format!("section {name}: IR parse error at {e}"))?;
     br_ir::verify_module(&module)
         .map_err(|e| format!("section {name}: module fails verification: {e}"))?;
     Ok(module)
@@ -293,16 +295,16 @@ fn module_section(sections: &[OwnedSection], name: &str) -> Result<Module, Strin
 /// service contract is that every response carries a verdict, and the
 /// pipeline runs in `certify` mode so every committed reordering also
 /// carries a proof certificate whose hash the response exposes.
-fn parse_options(sections: &[OwnedSection]) -> Result<ReorderOptions, String> {
+fn parse_options(sections: &Sections<'_>) -> Result<ReorderOptions, String> {
     let mut opts = ReorderOptions {
         validate: true,
         certify: true,
         ..ReorderOptions::default()
     };
-    let Ok(options) = section(sections, "options") else {
+    if section(sections, sec::OPTIONS).is_err() {
         return Ok(opts);
-    };
-    for line in options.text()?.lines() {
+    }
+    for line in text(sections, sec::OPTIONS)?.lines() {
         let (key, value) = line
             .split_once(' ')
             .ok_or_else(|| format!("bad options line {line:?}"))?;
@@ -327,9 +329,9 @@ fn parse_options(sections: &[OwnedSection]) -> Result<ReorderOptions, String> {
 /// `func head sig` line per proof certificate out — the client can
 /// demand the full certificate be re-derived locally and compare
 /// content addresses.
-fn reorder_endpoint(sections: &[OwnedSection]) -> Result<Vec<u8>, String> {
-    let module = module_section(sections, "module")?;
-    let train = &section(sections, "train")?.bytes;
+fn reorder_endpoint(sections: &Sections<'_>) -> Result<Vec<u8>, String> {
+    let module = module_section(sections, sec::MODULE)?;
+    let train = section(sections, sec::TRAIN)?;
     let opts = parse_options(sections)?;
     let report =
         reorder_module(&module, train, &opts).map_err(|t| format!("training run trapped: {t}"))?;
@@ -371,28 +373,12 @@ fn reorder_endpoint(sections: &[OwnedSection]) -> Result<Vec<u8>, String> {
         certs.push_str(&format!("{} {} {:016x}\n", c.func.0, c.head.0, c.sig));
     }
 
-    Ok(Frame::structured(
-        "ok",
-        &[
-            Section {
-                name: "module",
-                bytes: print_module(&report.module).as_bytes(),
-            },
-            Section {
-                name: "sequences",
-                bytes: sequences.as_bytes(),
-            },
-            Section {
-                name: "validation",
-                bytes: validation.as_bytes(),
-            },
-            Section {
-                name: "certs",
-                bytes: certs.as_bytes(),
-            },
-        ],
-    )
-    .payload)
+    Ok(proto2::response_body(&[
+        ("module", print_module(&report.module).as_bytes()),
+        ("sequences", sequences.as_bytes()),
+        ("validation", validation.as_bytes()),
+        ("certs", certs.as_bytes()),
+    ]))
 }
 
 /// `measure`: two printed-IR modules plus one input; both run on the
@@ -402,10 +388,10 @@ fn reorder_endpoint(sections: &[OwnedSection]) -> Result<Vec<u8>, String> {
 /// layout-sensitive events to the function that paid them. Divergent
 /// observable behaviour (exit or output) is an error — the daemon
 /// refuses to measure a miscompile as if it were a speedup.
-fn measure_endpoint(sections: &[OwnedSection]) -> Result<Vec<u8>, String> {
-    let original = module_section(sections, "original")?;
-    let reordered = module_section(sections, "reordered")?;
-    let input = &section(sections, "input")?.bytes;
+fn measure_endpoint(sections: &Sections<'_>) -> Result<Vec<u8>, String> {
+    let original = module_section(sections, sec::ORIGINAL)?;
+    let reordered = module_section(sections, sec::REORDERED)?;
+    let input = section(sections, sec::INPUT)?;
     let (vm, _) = measure_vm();
     let a = run(&original, input, &vm).map_err(|t| format!("original run trapped: {t}"))?;
     let b = run(&reordered, input, &vm).map_err(|t| format!("reordered run trapped: {t}"))?;
@@ -476,21 +462,14 @@ fn measure_endpoint(sections: &[OwnedSection]) -> Result<Vec<u8>, String> {
             pct_change(ca.delay_stalls, stalls_b)
         ));
     }
-    Ok(Frame::structured(
-        "ok",
-        &[Section {
-            name: "csv",
-            bytes: csv.as_bytes(),
-        }],
-    )
-    .payload)
+    Ok(proto2::response_body(&[("csv", csv.as_bytes())]))
 }
 
 /// `profile`: instrument every detected sequence, run on the supplied
 /// input, and return the per-range exit counts as CSV.
-fn profile_endpoint(sections: &[OwnedSection]) -> Result<Vec<u8>, String> {
-    let module = module_section(sections, "module")?;
-    let input = &section(sections, "input")?.bytes;
+fn profile_endpoint(sections: &Sections<'_>) -> Result<Vec<u8>, String> {
+    let module = module_section(sections, sec::MODULE)?;
+    let input = section(sections, sec::INPUT)?;
     let mut instrumented = module.clone();
     let detections = detect_all(&instrumented);
     let ids = instrument_module(&mut instrumented, &detections);
@@ -506,26 +485,20 @@ fn profile_endpoint(sections: &[OwnedSection]) -> Result<Vec<u8>, String> {
             ));
         }
     }
-    Ok(Frame::structured(
-        "ok",
-        &[Section {
-            name: "csv",
-            bytes: csv.as_bytes(),
-        }],
-    )
-    .payload)
+    Ok(proto2::response_body(&[("csv", csv.as_bytes())]))
 }
 
 /// Debug-only: hold a worker for N milliseconds — the knob tests and
 /// drills use to wedge the pool and watch admission control shed load.
-fn sleep_endpoint(request: &Frame) -> Result<Frame, String> {
-    let ms: u64 = request
-        .payload_text()
-        .trim()
-        .parse()
-        .map_err(|_| "sleep payload must be milliseconds".to_string())?;
+fn sleep_endpoint(payload: &[u8]) -> Response {
+    let Some(ms) = std::str::from_utf8(payload)
+        .ok()
+        .and_then(|t| t.trim().parse::<u64>().ok())
+    else {
+        return Response::error(code::BAD_REQUEST, "sleep payload must be milliseconds");
+    };
     std::thread::sleep(std::time::Duration::from_millis(ms.min(10_000)));
-    Ok(Frame::text("ok", "slept"))
+    Response::ok(b"slept".to_vec(), 0)
 }
 
 #[cfg(test)]
@@ -554,33 +527,36 @@ mod tests {
         m
     }
 
-    fn reorder_request(module: &Module, train: &[u8]) -> Frame {
-        Frame::structured(
-            "reorder",
-            &[
-                Section {
-                    name: "module",
-                    bytes: print_module(module).as_bytes(),
-                },
-                Section {
-                    name: "train",
-                    bytes: train,
-                },
-            ],
-        )
+    /// A request payload from `(section id, bytes)` pairs.
+    fn payload(sections: &[(u8, &[u8])]) -> Vec<u8> {
+        proto2::Frame2::request(0, sections).payload
+    }
+
+    /// The named section of an ok response body, as text.
+    fn body_text<'a>(response: &'a Response, name: &str) -> &'a str {
+        let sections = proto2::response_sections(&response.payload).expect("section body");
+        let (_, bytes) = sections
+            .into_iter()
+            .find(|(n, _)| *n == name)
+            .unwrap_or_else(|| panic!("missing section {name}"));
+        std::str::from_utf8(bytes).expect("UTF-8 section")
+    }
+
+    fn message(response: &Response) -> String {
+        String::from_utf8_lossy(&response.payload).into_owned()
     }
 
     #[test]
     fn reorder_matches_in_process_pipeline() {
         let (e, metrics, dir) = endpoints(true);
         let module = wc_module();
+        let text = print_module(&module);
         let train = br_workloads::by_name("wc").unwrap().training_input(512);
-        let request = reorder_request(&module, &train);
+        let request = payload(&[(sec::MODULE, text.as_bytes()), (sec::TRAIN, &train)]);
 
-        let response = e.handle(&request).frame;
-        assert_eq!(response.kind, "ok", "{}", response.payload_text());
-        let sections = response.sections().unwrap();
-        let served = section(&sections, "module").unwrap().text().unwrap();
+        let response = e.handle(kind::REORDER, &request);
+        assert_eq!(response.kind, kind::OK, "{}", message(&response));
+        let served = body_text(&response, "module");
 
         let opts = ReorderOptions {
             validate: true,
@@ -593,7 +569,7 @@ mod tests {
             print_module(&local.module),
             "service must be bit-for-bit"
         );
-        let verdict = section(&sections, "validation").unwrap().text().unwrap();
+        let verdict = body_text(&response, "validation");
         assert!(verdict.contains("failures 0"), "{verdict}");
 
         // Certificate hashes: one line per committed reordering, equal
@@ -603,20 +579,38 @@ mod tests {
             !local_summary.certificates.is_empty(),
             "wc must commit at least one certified reordering"
         );
-        let certs = section(&sections, "certs").unwrap().text().unwrap();
+        let certs = body_text(&response, "certs");
         assert_eq!(certs.lines().count(), local_summary.certificates.len());
         for (line, c) in certs.lines().zip(&local_summary.certificates) {
             assert_eq!(line, format!("{} {} {:016x}", c.func.0, c.head.0, c.sig));
         }
 
         // Identical request → cache hit with the identical payload.
-        let again = e.handle(&request).frame;
+        let again = e.handle(kind::REORDER, &request);
         assert_eq!(again.payload, response.payload);
         assert_eq!(metrics.cache_hits.load(Ordering::Relaxed), 1);
         assert_eq!(metrics.cache_misses.load(Ordering::Relaxed), 1);
+
+        // The same request by content hash resolves to the same cache
+        // entry: same key, same bytes, one more hit.
+        let hash = proto2::module_hash(text.as_bytes()).to_le_bytes();
+        let by_hash = payload(&[(sec::MODULE_HASH, &hash), (sec::TRAIN, &train)]);
+        let hashed = e.handle(kind::REORDER, &by_hash);
+        assert_eq!(hashed.kind, kind::OK, "{}", message(&hashed));
+        assert_eq!(hashed.cache_key, response.cache_key);
+        assert_eq!(hashed.payload, response.payload);
+        assert_eq!(metrics.cache_hits.load(Ordering::Relaxed), 2);
         if let Some(dir) = dir {
             let _ = std::fs::remove_dir_all(dir);
         }
+    }
+
+    fn measure_request(original: &Module, reordered: &Module, input: &[u8]) -> Vec<u8> {
+        payload(&[
+            (sec::ORIGINAL, print_module(original).as_bytes()),
+            (sec::REORDERED, print_module(reordered).as_bytes()),
+            (sec::INPUT, input),
+        ])
     }
 
     #[test]
@@ -627,27 +621,12 @@ mod tests {
         let report = reorder_module(&module, &w.training_input(512), &ReorderOptions::default())
             .expect("pipeline runs");
         let input = w.test_input(768);
-        let request = Frame::structured(
-            "measure",
-            &[
-                Section {
-                    name: "original",
-                    bytes: print_module(&module).as_bytes(),
-                },
-                Section {
-                    name: "reordered",
-                    bytes: print_module(&report.module).as_bytes(),
-                },
-                Section {
-                    name: "input",
-                    bytes: &input,
-                },
-            ],
+        let response = e.handle(
+            kind::MEASURE,
+            &measure_request(&module, &report.module, &input),
         );
-        let response = e.handle(&request).frame;
-        assert_eq!(response.kind, "ok", "{}", response.payload_text());
-        let sections = response.sections().unwrap();
-        let csv = section(&sections, "csv").unwrap().text().unwrap();
+        assert_eq!(response.kind, kind::OK, "{}", message(&response));
+        let csv = body_text(&response, "csv");
         assert!(csv.starts_with("counter,original,reordered,pct_change\n"));
         // Header + 11 global counters, then 2 per-function rows per
         // module function.
@@ -666,27 +645,10 @@ mod tests {
             br_opt::optimize(&mut m);
             m
         };
-        let bad = Frame::structured(
-            "measure",
-            &[
-                Section {
-                    name: "original",
-                    bytes: print_module(&module).as_bytes(),
-                },
-                Section {
-                    name: "reordered",
-                    bytes: print_module(&other).as_bytes(),
-                },
-                Section {
-                    name: "input",
-                    bytes: &input,
-                },
-            ],
-        );
-        let refused = e.handle(&bad);
-        assert_eq!(refused.frame.kind, "error");
-        assert_eq!(refused.code, crate::proto2::code::BAD_REQUEST);
-        assert!(refused.frame.payload_text().contains("behaviour differs"));
+        let refused = e.handle(kind::MEASURE, &measure_request(&module, &other, &input));
+        assert_eq!(refused.kind, kind::ERROR);
+        assert_eq!(refused.code, code::BAD_REQUEST);
+        assert!(message(&refused).contains("behaviour differs"));
     }
 
     #[test]
@@ -697,27 +659,12 @@ mod tests {
         let report = reorder_module(&module, &w.training_input(512), &ReorderOptions::default())
             .expect("pipeline runs");
         let input = w.test_input(768);
-        let request = Frame::structured(
-            "measure",
-            &[
-                Section {
-                    name: "original",
-                    bytes: print_module(&module).as_bytes(),
-                },
-                Section {
-                    name: "reordered",
-                    bytes: print_module(&report.module).as_bytes(),
-                },
-                Section {
-                    name: "input",
-                    bytes: &input,
-                },
-            ],
+        let response = e.handle(
+            kind::MEASURE,
+            &measure_request(&module, &report.module, &input),
         );
-        let response = e.handle(&request).frame;
-        assert_eq!(response.kind, "ok", "{}", response.payload_text());
-        let sections = response.sections().unwrap();
-        let csv = section(&sections, "csv").unwrap().text().unwrap();
+        assert_eq!(response.kind, kind::OK, "{}", message(&response));
+        let csv = body_text(&response, "csv");
 
         // Schema: the global block is pinned — line 1 header, lines 2–12
         // the 11 counters in fixed order — and every later line is a
@@ -799,23 +746,13 @@ mod tests {
         let module = wc_module();
         let w = br_workloads::by_name("wc").unwrap();
         let input = w.training_input(512);
-        let request = Frame::structured(
-            "profile",
-            &[
-                Section {
-                    name: "module",
-                    bytes: print_module(&module).as_bytes(),
-                },
-                Section {
-                    name: "input",
-                    bytes: &input,
-                },
-            ],
-        );
-        let response = e.handle(&request).frame;
-        assert_eq!(response.kind, "ok", "{}", response.payload_text());
-        let sections = response.sections().unwrap();
-        let csv = section(&sections, "csv").unwrap().text().unwrap();
+        let request = payload(&[
+            (sec::MODULE, print_module(&module).as_bytes()),
+            (sec::INPUT, &input),
+        ]);
+        let response = e.handle(kind::PROFILE, &request);
+        assert_eq!(response.kind, kind::OK, "{}", message(&response));
+        let csv = body_text(&response, "csv");
         assert!(csv.starts_with("seq,func,head,range_lo,range_hi,count\n"));
         // wc's classifier loop runs once per input byte, so some range
         // must have accumulated real counts.
@@ -830,20 +767,33 @@ mod tests {
     #[test]
     fn malformed_requests_are_errors_not_panics() {
         let (e, _metrics, _) = endpoints(false);
-        for request in [
-            Frame::text("reorder", "not sections"),
-            Frame::structured(
-                "reorder",
-                &[Section {
-                    name: "module",
-                    bytes: b"garbage ir",
-                }],
+        let unknown_hash = payload(&[(sec::MODULE_HASH, &7u64.to_le_bytes())]);
+        for (k, request, want) in [
+            (kind::REORDER, b"not sections".to_vec(), code::BAD_REQUEST),
+            (
+                kind::REORDER,
+                payload(&[(sec::MODULE, b"garbage ir")]),
+                code::BAD_REQUEST,
             ),
-            Frame::text("unknown-kind", ""),
-            Frame::text("sleep", "5"), // debug endpoints off by default
+            (kind::REORDER, payload(&[(200, b"x")]), code::BAD_REQUEST),
+            (
+                kind::REORDER,
+                payload(&[(sec::MODULE_HASH, b"short")]),
+                code::BAD_REQUEST,
+            ),
+            (kind::REORDER, unknown_hash, code::NEED_MODULE),
+            (
+                kind::CACHEPUT,
+                payload(&[(sec::KEY, b"zz")]),
+                code::BAD_REQUEST,
+            ),
+            (200, Vec::new(), code::BAD_REQUEST),
+            // Debug endpoints are off by default.
+            (kind::SLEEP, b"5".to_vec(), code::BAD_REQUEST),
         ] {
-            let response = e.handle(&request);
-            assert_eq!(response.frame.kind, "error", "{}", request.kind);
+            let response = e.handle(k, &request);
+            assert_eq!(response.kind, kind::ERROR, "opcode {k}: {request:?}");
+            assert_eq!(response.code, want, "opcode {k}: {}", message(&response));
         }
     }
 
@@ -851,43 +801,21 @@ mod tests {
     fn options_section_is_honoured() {
         let (e, _metrics, _) = endpoints(false);
         let module = wc_module();
+        let text = print_module(&module);
         let train = br_workloads::by_name("wc").unwrap().training_input(512);
-        let request = Frame::structured(
-            "reorder",
-            &[
-                Section {
-                    name: "module",
-                    bytes: print_module(&module).as_bytes(),
-                },
-                Section {
-                    name: "train",
-                    bytes: &train,
-                },
-                Section {
-                    name: "options",
-                    bytes: b"exhaustive 1\nstatic 0\nopttree 1",
-                },
-            ],
+        let with_options = |options: &[u8]| {
+            payload(&[
+                (sec::MODULE, text.as_bytes()),
+                (sec::TRAIN, &train),
+                (sec::OPTIONS, options),
+            ])
+        };
+        let response = e.handle(
+            kind::REORDER,
+            &with_options(b"exhaustive 1\nstatic 0\nopttree 1"),
         );
-        let response = e.handle(&request).frame;
-        assert_eq!(response.kind, "ok", "{}", response.payload_text());
-        let bad = Frame::structured(
-            "reorder",
-            &[
-                Section {
-                    name: "module",
-                    bytes: print_module(&module).as_bytes(),
-                },
-                Section {
-                    name: "train",
-                    bytes: &train,
-                },
-                Section {
-                    name: "options",
-                    bytes: b"warp-speed 1",
-                },
-            ],
-        );
-        assert_eq!(e.handle(&bad).frame.kind, "error");
+        assert_eq!(response.kind, kind::OK, "{}", message(&response));
+        let bad = e.handle(kind::REORDER, &with_options(b"warp-speed 1"));
+        assert_eq!(bad.kind, kind::ERROR);
     }
 }

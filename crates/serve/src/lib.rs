@@ -4,7 +4,7 @@
 //! exposes the repo's probe → plan → splice pipeline as long-lived
 //! endpoints, shaped for sustained load rather than one-shot CLI runs.
 //!
-//! Endpoints (see [`proto`] for the framing):
+//! Endpoints, all over the `brs2` binary protocol ([`proto2`]):
 //!
 //! * **`reorder`** — printed-IR module + training input in; reordered
 //!   module, per-sequence records, and the PR-1 translation validator's
@@ -21,7 +21,7 @@
 //! Production shape:
 //!
 //! * bounded worker pool behind an **admission queue** — excess load is
-//!   shed with explicit `overloaded` frames, never queued unboundedly
+//!   shed with explicit `code::SHED` errors, never queued unboundedly
 //!   ([`pool`]);
 //! * **per-request deadlines** — work whose deadline expired in the
 //!   queue is answered without being started;
@@ -52,11 +52,9 @@ pub mod intern;
 pub mod loadgen;
 pub mod metrics;
 pub mod pool;
-pub mod proto;
 pub mod proto2;
 pub mod server;
 
 pub use loadgen::{run_loadgen, run_smoke, LoadgenConfig, LoadgenReport};
-pub use proto::{Client, Frame, Section};
 pub use proto2::{Client2, Frame2, ModuleRef};
-pub use server::{install_signal_handler, terminated, ProtocolMode, ServeConfig, Server};
+pub use server::{install_signal_handler, terminated, ServeConfig, Server};

@@ -1,5 +1,6 @@
 //! Load generator (`brc loadgen`): closed-loop and open-loop modes,
-//! both protocols, single- or multi-process.
+//! single- or multi-process, over `brs2` with content-hash module
+//! interning (repeat requests stop re-sending printed IR).
 //!
 //! **Closed loop** (the default) replays the 17 paper workloads from N
 //! concurrent connections, each keeping exactly one request (or one
@@ -25,11 +26,9 @@
 //! from stdout. The merged report is indistinguishable from a single
 //! generator offering the full rate.
 //!
-//! **Protocols**: `--brs2` switches the corpus to the binary protocol
-//! with content-hash module interning (repeat requests stop re-sending
-//! printed IR), and `--batch K` packs K requests per frame in closed
-//! loop — the shape that amortizes framing and syscalls enough to
-//! saturate a cluster from one box.
+//! **Batching**: `--batch K` packs K requests per frame in closed loop
+//! — the shape that amortizes framing and syscalls enough to saturate a
+//! cluster from one box.
 
 use std::io::{self, BufRead as _};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -41,8 +40,7 @@ use br_minic::{compile, HeuristicSet, Options};
 use br_reorder::{reorder_module, ReorderOptions};
 
 use crate::metrics::{Histogram, Metrics, BUCKETS};
-use crate::proto::{Client, Frame, Section};
-use crate::proto2::{self, BatchItem, Client2, ModuleRef};
+use crate::proto2::{self, BatchItem, Client2, Frame2, ModuleRef};
 
 /// Load-generator configuration (`brc loadgen` flags map here 1:1).
 #[derive(Clone, Debug)]
@@ -62,10 +60,8 @@ pub struct LoadgenConfig {
     pub reorder_only: bool,
     /// Send a `shutdown` frame after the run (graceful drain).
     pub shutdown_after: bool,
-    /// Speak `brs2` (binary frames, module interning) instead of `brs1`.
-    pub brs2: bool,
-    /// Requests per `brs2` batch frame in closed-loop mode (1 = one
-    /// request per frame). Ignored without `brs2`.
+    /// Requests per batch frame in closed-loop mode (1 = one request
+    /// per frame).
     pub batch: usize,
 }
 
@@ -79,7 +75,6 @@ impl Default for LoadgenConfig {
             input_size: 2048,
             reorder_only: false,
             shutdown_after: false,
-            brs2: false,
             batch: 1,
         }
     }
@@ -98,7 +93,6 @@ impl LoadgenConfig {
             input_size: 512,
             reorder_only: false,
             shutdown_after: false,
-            brs2: false,
             batch: 1,
         }
     }
@@ -113,7 +107,7 @@ pub struct LoadgenReport {
     pub ok: u64,
     /// `error` responses.
     pub errors: u64,
-    /// `overloaded`/shed responses.
+    /// Shed responses (`code::SHED`).
     pub shed: u64,
     /// Wall-clock time of the measured passes.
     pub elapsed: Duration,
@@ -177,15 +171,13 @@ impl LoadgenReport {
     }
 }
 
-/// One prepared request, ready to replay in either protocol.
+/// One prepared request, ready to replay.
 pub struct CorpusItem {
     /// Workload name plus request kind, for diagnostics.
     pub label: String,
-    /// The `brs1` request frame.
-    pub frame: Frame,
-    /// The `brs2` opcode.
-    pub kind2: u8,
-    /// Module operands (interned/delta-uploaded over `brs2`).
+    /// The request opcode.
+    pub kind: u8,
+    /// Module operands (interned: sent by hash once the peer has them).
     pub modules: Vec<ModuleRef>,
     /// Non-module sections, in canonical order after the modules.
     pub plain: Vec<(u8, Vec<u8>)>,
@@ -219,20 +211,7 @@ pub fn build_corpus(config: &LoadgenConfig) -> Result<Vec<CorpusItem>, String> {
         let train = w.training_input(config.train_size);
         corpus.push(CorpusItem {
             label: format!("{}/reorder", w.name),
-            frame: Frame::structured(
-                "reorder",
-                &[
-                    Section {
-                        name: "module",
-                        bytes: module_text.as_bytes(),
-                    },
-                    Section {
-                        name: "train",
-                        bytes: &train,
-                    },
-                ],
-            ),
-            kind2: proto2::kind::REORDER,
+            kind: proto2::kind::REORDER,
             modules: vec![ModuleRef::new(
                 proto2::sec::MODULE,
                 Arc::clone(&module_text),
@@ -248,24 +227,7 @@ pub fn build_corpus(config: &LoadgenConfig) -> Result<Vec<CorpusItem>, String> {
         let input = w.test_input(config.input_size);
         corpus.push(CorpusItem {
             label: format!("{}/measure", w.name),
-            frame: Frame::structured(
-                "measure",
-                &[
-                    Section {
-                        name: "original",
-                        bytes: module_text.as_bytes(),
-                    },
-                    Section {
-                        name: "reordered",
-                        bytes: reordered_text.as_bytes(),
-                    },
-                    Section {
-                        name: "input",
-                        bytes: &input,
-                    },
-                ],
-            ),
-            kind2: proto2::kind::MEASURE,
+            kind: proto2::kind::MEASURE,
             modules: vec![
                 ModuleRef::new(proto2::sec::ORIGINAL, Arc::clone(&module_text)),
                 ModuleRef::new(proto2::sec::REORDERED, reordered_text),
@@ -278,9 +240,29 @@ pub fn build_corpus(config: &LoadgenConfig) -> Result<Vec<CorpusItem>, String> {
 
 /// Read one server-side counter via the metrics endpoint.
 fn server_counter(addr: &str, name: &str) -> Option<u64> {
-    let mut client = Client::connect(addr).ok()?;
-    let response = client.call(&Frame::text("metrics", "")).ok()?;
+    let mut client = Client2::connect(addr).ok()?;
+    let response = client
+        .call(&Frame2::request(proto2::kind::METRICS, &[]))
+        .ok()?;
     Metrics::parse_counter(&response.payload_text(), name)
+}
+
+/// Ask the daemon or router at `addr` to drain (`brc loadgen
+/// --shutdown`).
+///
+/// # Errors
+///
+/// I/O failure, or a refusal (the error carries its message).
+pub fn shutdown(addr: &str) -> io::Result<()> {
+    let mut client = Client2::connect(addr)?;
+    let bye = client.call(&Frame2::request(proto2::kind::SHUTDOWN, &[]))?;
+    if bye.kind != proto2::kind::OK {
+        return Err(io::Error::other(format!(
+            "shutdown refused: {}",
+            bye.payload_text()
+        )));
+    }
+    Ok(())
 }
 
 /// The three outcomes a counted request can have.
@@ -290,42 +272,13 @@ enum Outcome {
     Error(String),
 }
 
-/// A protocol-agnostic generator connection.
-enum AnyClient {
-    V1(Client),
-    V2(Client2),
+/// Send one corpus item and classify the response.
+fn send(client: &mut Client2, item: &CorpusItem) -> io::Result<Outcome> {
+    let response = client.call_interned(item.kind, &item.modules, &item.plain_refs())?;
+    Ok(classify(response.kind, response.code, &response.payload))
 }
 
-impl AnyClient {
-    fn connect(addr: &str, brs2: bool) -> io::Result<AnyClient> {
-        Ok(if brs2 {
-            AnyClient::V2(Client2::connect(addr)?)
-        } else {
-            AnyClient::V1(Client::connect(addr)?)
-        })
-    }
-
-    /// Send one corpus item and classify the response.
-    fn send(&mut self, item: &CorpusItem) -> io::Result<Outcome> {
-        match self {
-            AnyClient::V1(client) => {
-                let response = client.call(&item.frame)?;
-                Ok(match response.kind.as_str() {
-                    "ok" => Outcome::Ok,
-                    "overloaded" => Outcome::Shed,
-                    _ => Outcome::Error(response.payload_text()),
-                })
-            }
-            AnyClient::V2(client) => {
-                let plain = item.plain_refs();
-                let response = client.call_interned(item.kind2, &item.modules, &plain)?;
-                Ok(classify_v2(response.kind, response.code, &response.payload))
-            }
-        }
-    }
-}
-
-fn classify_v2(kind: u8, code: u16, payload: &[u8]) -> Outcome {
+fn classify(kind: u8, code: u16, payload: &[u8]) -> Outcome {
     if kind == proto2::kind::OK {
         Outcome::Ok
     } else if code == proto2::code::SHED {
@@ -384,12 +337,12 @@ fn run_passes(
     passes: usize,
     totals: &PassTotals,
 ) -> io::Result<()> {
-    let batch = if config.brs2 { config.batch.max(1) } else { 1 };
+    let batch = config.batch.max(1);
     std::thread::scope(|scope| {
         let mut threads = Vec::new();
         for conn in 0..config.connections.max(1) {
             threads.push(scope.spawn(move || -> io::Result<()> {
-                let mut client = AnyClient::connect(&config.addr, config.brs2)?;
+                let mut client = Client2::connect(&config.addr)?;
                 for pass in 0..passes {
                     // Offset each connection's walk so the daemon sees
                     // mixed kinds at any instant, not N copies of the
@@ -399,9 +352,6 @@ fn run_passes(
                         .collect();
                     for chunk in indices.chunks(batch) {
                         if batch > 1 {
-                            let AnyClient::V2(client) = &mut client else {
-                                unreachable!("batching implies brs2");
-                            };
                             let items: Vec<&CorpusItem> =
                                 chunk.iter().map(|&i| &corpus[i]).collect();
                             let plains: Vec<Vec<(u8, &[u8])>> =
@@ -410,7 +360,7 @@ fn run_passes(
                                 .iter()
                                 .zip(&plains)
                                 .map(|(it, plain)| {
-                                    (it.kind2, it.modules.as_slice(), plain.as_slice())
+                                    (it.kind, it.modules.as_slice(), plain.as_slice())
                                 })
                                 .collect();
                             let start = Instant::now();
@@ -420,14 +370,14 @@ fn run_passes(
                                 totals.latency.record(elapsed);
                                 totals.count(
                                     &item.label,
-                                    classify_v2(reply.kind, reply.code, &reply.payload),
+                                    classify(reply.kind, reply.code, &reply.payload),
                                 );
                             }
                         } else {
                             for &i in chunk {
                                 let item = &corpus[i];
                                 let start = Instant::now();
-                                let outcome = client.send(item)?;
+                                let outcome = send(&mut client, item)?;
                                 totals.latency.record(start.elapsed());
                                 totals.count(&item.label, outcome);
                             }
@@ -450,7 +400,7 @@ fn run_passes(
 /// # Errors
 ///
 /// Corpus build failures and connection-level I/O errors are fatal;
-/// per-request `error`/`overloaded` responses are counted, not thrown.
+/// per-request error and shed responses are counted, not thrown.
 pub fn run_loadgen(config: &LoadgenConfig) -> io::Result<LoadgenReport> {
     let corpus = build_corpus(config).map_err(|e| io::Error::other(format!("corpus: {e}")))?;
     let totals = PassTotals::new();
@@ -460,14 +410,7 @@ pub fn run_loadgen(config: &LoadgenConfig) -> io::Result<LoadgenReport> {
     let elapsed = start.elapsed();
     let hits_after = server_counter(&config.addr, "cache_hits");
     if config.shutdown_after {
-        let mut client = Client::connect(&config.addr)?;
-        let bye = client.call(&Frame::text("shutdown", ""))?;
-        if bye.kind != "ok" {
-            return Err(io::Error::other(format!(
-                "shutdown refused: {}",
-                bye.payload_text()
-            )));
-        }
+        shutdown(&config.addr)?;
     }
     Ok(LoadgenReport {
         sent: totals.sent.into_inner(),
@@ -521,8 +464,8 @@ pub fn run_smoke(config: &LoadgenConfig) -> io::Result<(LoadgenReport, Vec<Strin
 /// duration, from a number of connections, in one process.
 #[derive(Clone, Debug)]
 pub struct OpenLoopConfig {
-    /// The closed-loop knobs reused by the open loop (address,
-    /// protocol, corpus sizes).
+    /// The closed-loop knobs reused by the open loop (address, corpus
+    /// sizes).
     pub base: LoadgenConfig,
     /// Offered load in requests/second (this process's share).
     pub rate: f64,
@@ -668,7 +611,7 @@ pub fn run_open_loop(config: &OpenLoopConfig) -> io::Result<OpenReport> {
             let ticks = &ticks;
             let corpus = &corpus;
             threads.push(scope.spawn(move || -> io::Result<()> {
-                let mut client = AnyClient::connect(&config.base.addr, config.base.brs2)?;
+                let mut client = Client2::connect(&config.base.addr)?;
                 loop {
                     let n = ticks.fetch_add(1, Ordering::Relaxed);
                     let scheduled = start + Duration::from_secs_f64(n as f64 / rate);
@@ -680,7 +623,7 @@ pub fn run_open_loop(config: &OpenLoopConfig) -> io::Result<OpenReport> {
                         std::thread::sleep(scheduled - now);
                     }
                     let item = &corpus[(n as usize) % corpus.len()];
-                    let outcome = client.send(item)?;
+                    let outcome = send(&mut client, item)?;
                     // Measured from the *scheduled* time: if this
                     // connection was stuck waiting on a slow response,
                     // the delay the next request suffered is service
@@ -856,10 +799,9 @@ mod tests {
         };
         let corpus = build_corpus(&config).expect("corpus builds");
         assert_eq!(corpus.len(), br_workloads::all().len() * 2);
-        assert!(corpus.iter().any(|c| c.frame.kind == "reorder"));
-        assert!(corpus.iter().any(|c| c.frame.kind == "measure"));
-        // Every item carries a brs2 form whose module hashes match the
-        // brs1 section bytes.
+        assert!(corpus.iter().any(|c| c.kind == proto2::kind::REORDER));
+        assert!(corpus.iter().any(|c| c.kind == proto2::kind::MEASURE));
+        // Every module operand's hash matches its text.
         for item in &corpus {
             assert!(!item.modules.is_empty());
             for m in &item.modules {
@@ -873,7 +815,7 @@ mod tests {
         };
         let corpus = build_corpus(&reorder_only).expect("corpus builds");
         assert_eq!(corpus.len(), br_workloads::all().len());
-        assert!(corpus.iter().all(|c| c.frame.kind == "reorder"));
+        assert!(corpus.iter().all(|c| c.kind == proto2::kind::REORDER));
     }
 
     #[test]

@@ -10,6 +10,8 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
+use crate::proto2::kind;
+
 /// Histogram buckets: upper bounds of `1 << i` microseconds, plus a
 /// final catch-all. 26 buckets spans 1 µs to ~33.5 s.
 pub const BUCKETS: usize = 26;
@@ -68,6 +70,16 @@ impl Histogram {
 /// for everything else.
 pub const KINDS: [&str; 4] = ["reorder", "measure", "profile", "other"];
 
+/// The [`KINDS`] slot of a request opcode.
+fn kind_slot(k: u8) -> usize {
+    match k {
+        kind::REORDER => 0,
+        kind::MEASURE => 1,
+        kind::PROFILE => 2,
+        _ => KINDS.len() - 1,
+    }
+}
+
 /// The daemon's counter set. One instance lives for the whole process;
 /// every connection and worker thread updates it concurrently.
 #[derive(Debug, Default)]
@@ -78,7 +90,7 @@ pub struct Metrics {
     pub ok: AtomicU64,
     /// Error frames returned (bad input, pipeline failure, panic).
     pub errors: AtomicU64,
-    /// Requests shed at admission (queue full → `overloaded` frame).
+    /// Requests shed at admission (queue full → `code::SHED`).
     pub shed: AtomicU64,
     /// Requests whose deadline expired while queued or in flight.
     pub expired: AtomicU64,
@@ -86,17 +98,14 @@ pub struct Metrics {
     pub cache_hits: AtomicU64,
     /// Response-cache misses.
     pub cache_misses: AtomicU64,
-    /// Requests that arrived as `brs2` binary frames.
-    pub v2_requests: AtomicU64,
     /// Individual requests carried inside `brs2` batch frames.
     pub batch_items: AtomicU64,
     /// `need-module` responses (a content hash the shard had not
     /// interned; the client re-uploads the body).
     pub need_module: AtomicU64,
-    /// Oversized frames answered with an error and drained.
+    /// Oversized frames answered with an error and drained, and
+    /// replies too large for a frame answered with an error instead.
     pub oversized: AtomicU64,
-    /// Frames in a protocol version this endpoint does not accept.
-    pub mismatch: AtomicU64,
     /// Cache entries installed by `cacheput` (cluster replication).
     pub replicated: AtomicU64,
     /// End-to-end latency of completed requests (admission to response
@@ -105,13 +114,9 @@ pub struct Metrics {
 }
 
 impl Metrics {
-    /// Count one admitted request of `kind`.
-    pub fn count_request(&self, kind: &str) {
-        let i = KINDS
-            .iter()
-            .position(|k| *k == kind)
-            .unwrap_or(KINDS.len() - 1);
-        self.requests[i].fetch_add(1, Ordering::Relaxed);
+    /// Count one admitted request with opcode `k`.
+    pub fn count_request(&self, k: u8) {
+        self.requests[kind_slot(k)].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Total admitted requests across all kinds.
@@ -140,11 +145,9 @@ impl Metrics {
             ("deadline_expired", &self.expired),
             ("cache_hits", &self.cache_hits),
             ("cache_misses", &self.cache_misses),
-            ("v2_requests", &self.v2_requests),
             ("batch_items", &self.batch_items),
             ("need_module", &self.need_module),
             ("oversized", &self.oversized),
-            ("mismatch", &self.mismatch),
             ("replicated", &self.replicated),
         ] {
             let _ = writeln!(
@@ -212,9 +215,9 @@ mod tests {
     #[test]
     fn render_and_parse_roundtrip() {
         let m = Metrics::default();
-        m.count_request("reorder");
-        m.count_request("reorder");
-        m.count_request("bogus");
+        m.count_request(kind::REORDER);
+        m.count_request(kind::REORDER);
+        m.count_request(kind::HEALTH);
         m.ok.fetch_add(2, Ordering::Relaxed);
         m.shed.fetch_add(1, Ordering::Relaxed);
         m.cache_hits.fetch_add(7, Ordering::Relaxed);

@@ -6,18 +6,18 @@
 //! * **Admission queue.** A bounded FIFO between connection threads and
 //!   workers. [`Pool::submit`] refuses — never blocks — when the queue
 //!   is at its limit, so one burst cannot build unbounded memory or
-//!   latency debt; the caller turns a refusal into an `overloaded`
-//!   frame, which a well-behaved client treats as backpressure.
+//!   latency debt; the caller turns a refusal into a `code::SHED`
+//!   error, which a well-behaved client treats as backpressure.
 //! * **Deadlines.** Each job carries an optional deadline. A job whose
-//!   deadline passed while it sat in the queue is answered with an
-//!   `error` frame without being started — work that nobody is waiting
+//!   deadline passed while it sat in the queue is answered with a
+//!   `code::DEADLINE` error without being started — work that nobody is waiting
 //!   for anymore is the first thing an overloaded service must drop. A
 //!   job that *started* in time runs to completion (threads cannot be
 //!   cancelled safely); late completions are still delivered and are
 //!   visible in the `deadline_expired` counter.
 //! * **Panic isolation.** The handler runs under [`catch_unwind`]: a
-//!   request that panics the pipeline produces an `error` frame naming
-//!   the panic, and the worker thread survives to take the next job.
+//!   request that panics the pipeline produces a `code::INTERNAL`
+//!   error naming the panic, and the worker thread survives to take the next job.
 //! * **Graceful drain.** [`Pool::drain`] lets queued jobs finish,
 //!   refuses new ones, and joins every worker.
 
@@ -30,13 +30,18 @@ use std::time::Instant;
 
 use crate::endpoints::Response;
 use crate::metrics::Metrics;
-use crate::proto::Frame;
-use crate::proto2::code;
+use crate::proto2::{code, kind, kind_name};
+
+/// The request handler a pool runs: opcode and payload in, response
+/// out.
+pub type Handler = dyn Fn(u8, &[u8]) -> Response + Send + Sync;
 
 /// One admitted request waiting for a worker.
 pub struct Job {
-    /// The request frame.
-    pub request: Frame,
+    /// The request opcode ([`crate::proto2::kind`]).
+    pub kind: u8,
+    /// The request's `brs2` section payload.
+    pub payload: Vec<u8>,
     /// When the job was admitted (latency measurement starts here).
     pub accepted: Instant,
     /// Absolute deadline; `None` means no limit.
@@ -78,7 +83,7 @@ impl Pool {
         threads: usize,
         queue_limit: usize,
         metrics: Arc<Metrics>,
-        handler: Arc<dyn Fn(&Frame) -> Response + Send + Sync>,
+        handler: Arc<Handler>,
     ) -> Pool {
         let shared = Arc::new(Shared {
             queue: Mutex::new(VecDeque::new()),
@@ -101,7 +106,7 @@ impl Pool {
     }
 
     /// Admit a job, or hand it back when the queue is full or the pool
-    /// is draining — the caller sheds it with an `overloaded` frame.
+    /// is draining — the caller sheds it with a `code::SHED` error.
     pub fn submit(&self, job: Job) -> Result<(), Job> {
         if self.shared.draining.load(Ordering::SeqCst) {
             return Err(job);
@@ -134,7 +139,7 @@ impl Pool {
     }
 }
 
-fn worker(shared: &Shared, metrics: &Metrics, handler: &(dyn Fn(&Frame) -> Response + Sync)) {
+fn worker(shared: &Shared, metrics: &Metrics, handler: &Handler) {
     loop {
         let job = {
             let mut queue = shared.queue.lock().expect("pool queue poisoned");
@@ -149,10 +154,11 @@ fn worker(shared: &Shared, metrics: &Metrics, handler: &(dyn Fn(&Frame) -> Respo
             }
         };
         let response = run_job(&job, metrics, handler);
-        match response.frame.kind.as_str() {
-            "ok" => metrics.ok.fetch_add(1, Ordering::Relaxed),
-            _ => metrics.errors.fetch_add(1, Ordering::Relaxed),
-        };
+        if response.kind == kind::OK {
+            metrics.ok.fetch_add(1, Ordering::Relaxed);
+        } else {
+            metrics.errors.fetch_add(1, Ordering::Relaxed);
+        }
         metrics.latency.record(job.accepted.elapsed());
         // A send failure means the connection is gone; the work is
         // simply discarded, which is the right amount of caring.
@@ -160,11 +166,7 @@ fn worker(shared: &Shared, metrics: &Metrics, handler: &(dyn Fn(&Frame) -> Respo
     }
 }
 
-fn run_job(
-    job: &Job,
-    metrics: &Metrics,
-    handler: &(dyn Fn(&Frame) -> Response + Sync),
-) -> Response {
+fn run_job(job: &Job, metrics: &Metrics, handler: &Handler) -> Response {
     if let Some(deadline) = job.deadline {
         if Instant::now() > deadline {
             metrics.expired.fetch_add(1, Ordering::Relaxed);
@@ -177,13 +179,13 @@ fn run_job(
             );
         }
     }
-    let response = match catch_unwind(AssertUnwindSafe(|| handler(&job.request))) {
+    let response = match catch_unwind(AssertUnwindSafe(|| handler(job.kind, &job.payload))) {
         Ok(response) => response,
         Err(payload) => Response::error(
             code::INTERNAL,
             &format!(
                 "internal panic handling {} request: {}",
-                job.request.kind,
+                kind_name(job.kind).unwrap_or("unknown"),
                 panic_message(payload)
             ),
         ),
@@ -207,23 +209,24 @@ mod tests {
             threads,
             limit,
             Arc::clone(&metrics),
-            Arc::new(|req: &Frame| match req.kind.as_str() {
-                "boom" => panic!("intentional test panic"),
-                "slow" => {
+            Arc::new(|k: u8, payload: &[u8]| match k {
+                kind::PANIC => panic!("intentional test panic"),
+                kind::SLEEP => {
                     std::thread::sleep(Duration::from_millis(100));
                     Response::ok(b"slow done".to_vec(), 0)
                 }
-                _ => Response::ok(req.payload.clone(), 0),
+                _ => Response::ok(payload.to_vec(), 0),
             }),
         );
         (pool, metrics)
     }
 
-    fn job(kind: &str, deadline: Option<Instant>) -> (Job, mpsc::Receiver<Response>) {
+    fn job(k: u8, deadline: Option<Instant>) -> (Job, mpsc::Receiver<Response>) {
         let (tx, rx) = mpsc::channel();
         (
             Job {
-                request: Frame::text(kind, "payload"),
+                kind: k,
+                payload: b"payload".to_vec(),
                 accepted: Instant::now(),
                 deadline,
                 reply: tx,
@@ -235,20 +238,17 @@ mod tests {
     #[test]
     fn completes_jobs_and_survives_panics() {
         let (pool, metrics) = echo_pool(2, 16);
-        let (boom, boom_rx) = job("boom", None);
+        let (boom, boom_rx) = job(kind::PANIC, None);
         pool.submit(boom).ok().unwrap();
         let response = boom_rx.recv().unwrap();
-        assert_eq!(response.frame.kind, "error");
+        assert_eq!(response.kind, kind::ERROR);
         assert_eq!(response.code, code::INTERNAL);
-        assert!(response
-            .frame
-            .payload_text()
-            .contains("intentional test panic"));
+        assert!(String::from_utf8_lossy(&response.payload).contains("intentional test panic"));
 
         // The pool keeps serving after the panic.
-        let (ok, ok_rx) = job("echo", None);
+        let (ok, ok_rx) = job(kind::REORDER, None);
         pool.submit(ok).ok().unwrap();
-        assert_eq!(ok_rx.recv().unwrap().frame.kind, "ok");
+        assert_eq!(ok_rx.recv().unwrap().kind, kind::OK);
         pool.drain();
         assert_eq!(metrics.ok.load(Ordering::Relaxed), 1);
         assert_eq!(metrics.errors.load(Ordering::Relaxed), 1);
@@ -257,36 +257,39 @@ mod tests {
     #[test]
     fn full_queue_refuses_admission() {
         let (pool, _metrics) = echo_pool(1, 1);
-        let (slow, slow_rx) = job("slow", None);
+        let (slow, slow_rx) = job(kind::SLEEP, None);
         pool.submit(slow).ok().unwrap();
         // Wait until the worker has the slow job off the queue.
         while pool.queue_depth() > 0 {
             std::thread::yield_now();
         }
-        let (queued, queued_rx) = job("echo", None);
+        let (queued, queued_rx) = job(kind::REORDER, None);
         pool.submit(queued).ok().unwrap();
         // Queue is at its limit of 1: the third job is refused.
-        let (shed, _shed_rx) = job("echo", None);
+        let (shed, _shed_rx) = job(kind::REORDER, None);
         assert!(pool.submit(shed).is_err());
-        assert_eq!(slow_rx.recv().unwrap().frame.kind, "ok");
-        assert_eq!(queued_rx.recv().unwrap().frame.kind, "ok");
+        assert_eq!(slow_rx.recv().unwrap().kind, kind::OK);
+        assert_eq!(queued_rx.recv().unwrap().kind, kind::OK);
         pool.drain();
     }
 
     #[test]
     fn queued_past_deadline_is_an_error() {
         let (pool, metrics) = echo_pool(1, 4);
-        let (slow, slow_rx) = job("slow", None);
+        let (slow, slow_rx) = job(kind::SLEEP, None);
         pool.submit(slow).ok().unwrap();
         // This job's deadline passes while the slow job holds the only
         // worker, so it must be answered without being started.
-        let (late, late_rx) = job("echo", Some(Instant::now() + Duration::from_millis(10)));
+        let (late, late_rx) = job(
+            kind::REORDER,
+            Some(Instant::now() + Duration::from_millis(10)),
+        );
         pool.submit(late).ok().unwrap();
-        assert_eq!(slow_rx.recv().unwrap().frame.kind, "ok");
+        assert_eq!(slow_rx.recv().unwrap().kind, kind::OK);
         let response = late_rx.recv().unwrap();
-        assert_eq!(response.frame.kind, "error");
+        assert_eq!(response.kind, kind::ERROR);
         assert_eq!(response.code, code::DEADLINE);
-        assert!(response.frame.payload_text().contains("deadline expired"));
+        assert!(String::from_utf8_lossy(&response.payload).contains("deadline expired"));
         pool.drain();
         assert_eq!(metrics.expired.load(Ordering::Relaxed), 1);
     }
@@ -294,9 +297,9 @@ mod tests {
     #[test]
     fn drain_refuses_new_work() {
         let (pool, _metrics) = echo_pool(2, 4);
-        let (a, a_rx) = job("echo", None);
+        let (a, a_rx) = job(kind::REORDER, None);
         pool.submit(a).ok().unwrap();
-        assert_eq!(a_rx.recv().unwrap().frame.kind, "ok");
+        assert_eq!(a_rx.recv().unwrap().kind, kind::OK);
         pool.drain();
         // After drain the pool is gone; nothing left to assert beyond
         // the join having returned without hanging.

@@ -1,10 +1,5 @@
-//! `brs2`: the length-prefixed, zero-copy binary frame format.
-//!
-//! `brs1` ([`crate::proto`]) framed the repo's text formats with text
-//! headers; every section parse re-scanned and re-allocated, and repeat
-//! clients re-sent the full printed IR of a module on every request. At
-//! cluster scale the serving tier — not the optimizer — sets the
-//! throughput ceiling, so `brs2` removes both costs:
+//! `brs2`: the daemon's and the cluster's one wire protocol — a
+//! length-prefixed binary frame format.
 //!
 //! * **Fixed binary header, one payload read.** A frame is a 20-byte
 //!   little-endian header followed by exactly `len` payload bytes:
@@ -14,10 +9,13 @@
 //!   ```
 //!
 //!   The reader issues one `read_exact` for the header and one for the
-//!   payload; there is no line scanning and no terminator search.
+//!   payload; there is no line scanning and no terminator search. A
+//!   payload longer than [`MAX_PAYLOAD`] is never allocated: servers
+//!   drain it (up to [`DRAIN_LIMIT`]) and answer `code::OVERSIZED`, so
+//!   the stream stays frame-aligned ([`read_request`]).
 //!
-//! * **Zero-copy sections.** A structured request payload is a run of
-//!   `id:u8 len:u32 bytes` sections. [`sections`] yields borrowed
+//! * **Zero-copy request sections.** A structured request payload is a
+//!   run of `id:u8 len:u32 bytes` sections. [`sections`] yields borrowed
 //!   `(id, &[u8])` views into the single payload buffer — parsing
 //!   allocates nothing and copies nothing.
 //!
@@ -38,22 +36,30 @@
 //! * **Structured error codes.** Response frames carry a stable `u16`
 //!   code (`code::SHED`, `code::DEADLINE`, `code::NEED_MODULE`, …) in
 //!   the header, so clients branch on a number instead of parsing
-//!   prose. The human-readable message still travels in the payload.
+//!   prose. The human-readable message travels in the payload.
 //!
-//! **Response compatibility.** The payload of an `ok` compute response
-//! is the *`brs1` section stream, verbatim* — `brs2` changes the
-//! framing and the upload path, never the result bytes. A reorder
-//! served over `brs2` is byte-identical (module text, sequence records,
-//! validator verdict, brcert v2 certificate lines) to the same request
-//! over `brs1` or in-process. The `aux` header field of a compute
-//! response carries the server's response-cache key (0 when the
-//! response is uncacheable), which is what lets a router replicate
-//! cache entries to a successor shard without re-deriving keys.
+//! **Response bodies.** The payload of an `ok` compute response is a
+//! run of named text sections, each `<name> <len>\n<len bytes>\n`
+//! (read by [`response_sections`]): printed IR, CSV rows, the
+//! validator's verdict lines and certificate hashes travel unescaped. `health` and `metrics` answer plain text. The `aux`
+//! header field of a compute response carries the server's
+//! response-cache key (0 when the response is uncacheable), which is
+//! what lets a router replicate cache entries to a successor shard
+//! without re-deriving keys.
 
 use std::io::{self, Read, Write};
 use std::sync::Arc;
 
-use crate::proto::MAX_PAYLOAD;
+/// Upper bound on a frame payload, a defense against a garbage header
+/// committing a reader to a multi-gigabyte allocation. Writers refuse
+/// to send more ([`Frame2::write_to`]); servers answer a reply that
+/// would exceed it with `code::OVERSIZED` instead.
+pub const MAX_PAYLOAD: usize = 64 * 1024 * 1024;
+
+/// Ceiling on how much oversized payload a reader will read-and-discard
+/// to keep a connection usable. A frame declaring more than this is
+/// hostile or corrupt; the reader errors and the caller hangs up.
+pub const DRAIN_LIMIT: u64 = 4 * MAX_PAYLOAD as u64;
 
 /// The 4-byte frame magic; the first bytes of every `brs2` frame.
 pub const MAGIC2: &[u8; 4] = b"brs2";
@@ -99,9 +105,10 @@ pub mod kind {
 pub mod code {
     /// Success.
     pub const OK: u16 = 0;
-    /// Protocol-version mismatch; the message names both versions.
+    /// The bytes were not a `brs2` frame (another frame prefix, or a
+    /// length past [`super::DRAIN_LIMIT`]); the endpoint hangs up.
     pub const PROTOCOL: u16 = 1;
-    /// Frame payload exceeded [`super::MAX_PAYLOAD`].
+    /// A request or reply payload exceeded [`super::MAX_PAYLOAD`].
     pub const OVERSIZED: u16 = 2;
     /// Shed at admission: the queue was full. Retry with backoff.
     pub const SHED: u16 = 3;
@@ -118,10 +125,9 @@ pub mod code {
     pub const DRAINING: u16 = 8;
 }
 
-/// Section ids for structured request payloads. Ids 1–8 carry the
-/// literal bytes of the like-named `brs1` section; the `*_HASH` ids
-/// carry an 8-byte little-endian FNV-1a content hash standing in for
-/// the body ([`module_hash`]).
+/// Section ids for structured request payloads. Ids 1–8 carry literal
+/// bytes; the `*_HASH` ids carry an 8-byte little-endian FNV-1a content
+/// hash standing in for the body ([`module_hash`]).
 pub mod sec {
     /// Printed-IR module body.
     pub const MODULE: u8 = 1;
@@ -147,7 +153,7 @@ pub mod sec {
     pub const REORDERED_HASH: u8 = 11;
 }
 
-/// The `brs1` section name for a body-section id.
+/// The name of a literal-bytes section id, for messages.
 pub fn sec_name(id: u8) -> Option<&'static str> {
     Some(match id {
         sec::MODULE => "module",
@@ -162,10 +168,7 @@ pub fn sec_name(id: u8) -> Option<&'static str> {
     })
 }
 
-/// For a hash-section id: the body id it stands in for. The normalized
-/// `brs1`-style section name is the body name plus a `#` suffix, which
-/// no text-protocol client can collide with (section names never
-/// contain `#`).
+/// For a hash-section id: the body id it stands in for.
 pub fn hash_target(id: u8) -> Option<u8> {
     Some(match id {
         sec::MODULE_HASH => sec::MODULE,
@@ -185,7 +188,7 @@ pub fn hash_of_body(id: u8) -> Option<u8> {
     })
 }
 
-/// The `brs1` request-kind string for a `brs2` opcode.
+/// The name of a request opcode, for metrics and messages.
 pub fn kind_name(k: u8) -> Option<&'static str> {
     Some(match k {
         kind::REORDER => "reorder",
@@ -251,8 +254,8 @@ impl Frame2 {
         }
     }
 
-    /// An `ok` response whose payload is a verbatim `brs1` section
-    /// stream (or plain text for health/metrics).
+    /// An `ok` response: a compute answer's section body
+    /// ([`response_sections`]) or plain text for health/metrics.
     pub fn ok(aux: u64, payload: Vec<u8>) -> Frame2 {
         Frame2 {
             kind: kind::OK,
@@ -273,74 +276,142 @@ impl Frame2 {
     ///
     /// # Errors
     ///
-    /// Propagates the underlying I/O error.
+    /// A payload over [`MAX_PAYLOAD`] (nothing is written: its length
+    /// would not fit the header, and no reader would accept it), or the
+    /// underlying I/O error.
     pub fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
+        let len = self.payload.len();
+        if len > MAX_PAYLOAD {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("payload of {len} bytes exceeds the {MAX_PAYLOAD}-byte limit"),
+            ));
+        }
         let mut header = [0u8; HEADER2];
         header[..4].copy_from_slice(MAGIC2);
         header[4] = self.kind;
         header[5] = self.flags;
         header[6..8].copy_from_slice(&self.code.to_le_bytes());
         header[8..16].copy_from_slice(&self.aux.to_le_bytes());
-        header[16..20].copy_from_slice(&(self.payload.len() as u32).to_le_bytes());
+        header[16..20].copy_from_slice(&(len as u32).to_le_bytes());
         w.write_all(&header)?;
         w.write_all(&self.payload)?;
         w.flush()
     }
 
-    /// Read the remainder of a frame whose 4-byte magic has already
-    /// been consumed.
+    /// Read one frame (the client side of a call).
     ///
     /// # Errors
     ///
-    /// I/O failure, or an oversized payload (as `InvalidData`; see
-    /// [`crate::proto::read_any`] for the draining server-side path).
-    pub fn read_after_magic(r: &mut impl Read) -> io::Result<Frame2> {
-        let (kind, flags, code, aux, len) = read_header_after_magic(r)?;
-        if len > MAX_PAYLOAD as u64 {
-            return Err(io::Error::new(
+    /// I/O failure, EOF in place of a frame, or anything
+    /// [`read_request`] refuses — an oversized payload included.
+    pub fn read_from(r: &mut impl Read) -> io::Result<Frame2> {
+        match read_request(r)? {
+            Some(Incoming::Frame(frame)) => Ok(frame),
+            Some(Incoming::Oversized { len, .. }) => Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("payload of {len} bytes exceeds the {MAX_PAYLOAD}-byte limit"),
-            ));
+            )),
+            None => Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "peer closed the connection",
+            )),
         }
-        let mut payload = vec![0u8; len as usize];
-        r.read_exact(&mut payload)?;
-        Ok(Frame2 {
-            kind,
-            flags,
-            code,
-            aux,
-            payload,
-        })
-    }
-
-    /// Read one full frame (magic included).
-    ///
-    /// # Errors
-    ///
-    /// I/O failure, a bad magic, or an oversized payload.
-    pub fn read_from(r: &mut impl Read) -> io::Result<Frame2> {
-        let mut magic = [0u8; 4];
-        r.read_exact(&mut magic)?;
-        if &magic != MAGIC2 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("bad brs2 magic {magic:?}"),
-            ));
-        }
-        Frame2::read_after_magic(r)
     }
 }
 
-/// Read the 16 post-magic header bytes: kind, flags, code, aux, len.
-pub(crate) fn read_header_after_magic(r: &mut impl Read) -> io::Result<(u8, u8, u16, u64, u64)> {
+/// One frame as [`read_request`] found it.
+#[derive(Debug)]
+pub enum Incoming {
+    /// A well-formed frame.
+    Frame(Frame2),
+    /// A valid header declaring more than [`MAX_PAYLOAD`] bytes. The
+    /// payload was read and discarded, so the stream is positioned
+    /// exactly at the next frame and the caller can answer and go on.
+    Oversized {
+        /// The declared opcode.
+        kind: u8,
+        /// The declared payload length.
+        len: u64,
+    },
+}
+
+/// Read one `brs2` frame, or `Ok(None)` on a clean EOF before its first
+/// byte (the peer hung up between frames). The one frame reader of the
+/// daemon, the cluster router and [`Client2`].
+///
+/// An oversized payload under a valid header is drained (up to
+/// [`DRAIN_LIMIT`]) and reported as [`Incoming::Oversized`].
+///
+/// # Errors
+///
+/// `InvalidData` when the bytes are not a `brs2` frame (any other
+/// 4-byte prefix) or declare more than [`DRAIN_LIMIT`]; the stream
+/// position is then unknowable and the caller must hang up. Otherwise
+/// the underlying I/O error, `UnexpectedEof` for a torn frame.
+pub fn read_request(r: &mut impl Read) -> io::Result<Option<Incoming>> {
+    let mut magic = [0u8; 4];
+    let mut got = 0;
+    while got < magic.len() {
+        match r.read(&mut magic[got..]) {
+            Ok(0) if got == 0 => return Ok(None),
+            Ok(0) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    "EOF inside frame prefix",
+                ))
+            }
+            Ok(n) => got += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    if &magic != MAGIC2 {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!(
+                "unrecognized frame prefix \"{}\": this endpoint speaks brs2 \
+                 (20-byte binary header beginning \"brs2\")",
+                magic.escape_ascii()
+            ),
+        ));
+    }
     let mut h = [0u8; HEADER2 - 4];
     r.read_exact(&mut h)?;
     let kind = h[0];
-    let flags = h[1];
-    let code = u16::from_le_bytes([h[2], h[3]]);
-    let aux = u64::from_le_bytes(h[4..12].try_into().expect("8 bytes"));
     let len = u64::from(u32::from_le_bytes(h[12..16].try_into().expect("4 bytes")));
-    Ok((kind, flags, code, aux, len))
+    if len > MAX_PAYLOAD as u64 {
+        drain_exact(r, len)?;
+        return Ok(Some(Incoming::Oversized { kind, len }));
+    }
+    let mut payload = vec![0u8; len as usize];
+    r.read_exact(&mut payload)?;
+    Ok(Some(Incoming::Frame(Frame2 {
+        kind,
+        flags: h[1],
+        code: u16::from_le_bytes([h[2], h[3]]),
+        aux: u64::from_le_bytes(h[4..12].try_into().expect("8 bytes")),
+        payload,
+    })))
+}
+
+/// Read and discard exactly `n` payload bytes (bounded by
+/// [`DRAIN_LIMIT`]) so the stream stays frame-aligned.
+fn drain_exact(r: &mut impl Read, n: u64) -> io::Result<()> {
+    if n > DRAIN_LIMIT {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("oversized payload of {n} bytes exceeds the {DRAIN_LIMIT}-byte drain limit"),
+        ));
+    }
+    let copied = io::copy(&mut r.take(n), &mut io::sink())?;
+    if copied < n {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "EOF while draining oversized payload",
+        ));
+    }
+    Ok(())
 }
 
 fn push_section(out: &mut Vec<u8>, id: u8, bytes: &[u8]) {
@@ -455,6 +526,113 @@ pub fn batch_replies(payload: &[u8]) -> Result<Vec<BatchReply>, String> {
     Ok(out)
 }
 
+/// Bytes a batch reply item adds to its frame beyond its payload.
+const BATCH_REPLY_HEADER: usize = 15;
+
+impl From<Frame2> for BatchReply {
+    fn from(frame: Frame2) -> BatchReply {
+        BatchReply {
+            kind: frame.kind,
+            code: frame.code,
+            aux: frame.aux,
+            payload: frame.payload,
+        }
+    }
+}
+
+impl From<BatchReply> for Frame2 {
+    fn from(reply: BatchReply) -> Frame2 {
+        Frame2 {
+            kind: reply.kind,
+            flags: 0,
+            code: reply.code,
+            aux: reply.aux,
+            payload: reply.payload,
+        }
+    }
+}
+
+/// The `code::OVERSIZED` error answered in place of a reply whose
+/// `len`-byte payload would not fit a frame.
+pub(crate) fn oversized_reply(len: usize) -> BatchReply {
+    BatchReply {
+        kind: kind::ERROR,
+        code: code::OVERSIZED,
+        aux: 0,
+        payload: format!("reply of {len} bytes exceeds the {MAX_PAYLOAD}-byte frame limit")
+            .into_bytes(),
+    }
+}
+
+/// Assemble a batch response frame from its item replies, in order. An
+/// item that would push the frame past [`MAX_PAYLOAD`] is answered with
+/// a `code::OVERSIZED` error instead, so one huge answer costs its own
+/// item, not the batch or the connection.
+pub fn batch_response(replies: impl IntoIterator<Item = BatchReply>) -> Frame2 {
+    let mut payload = Vec::new();
+    for reply in replies {
+        let len = reply.payload.len();
+        if payload.len() + BATCH_REPLY_HEADER + len > MAX_PAYLOAD {
+            push_batch_reply(&mut payload, &oversized_reply(len));
+        } else {
+            push_batch_reply(&mut payload, &reply);
+        }
+    }
+    Frame2 {
+        kind: kind::OK,
+        flags: flags::BATCH,
+        code: code::OK,
+        aux: 0,
+        payload,
+    }
+}
+
+/// Build an `ok` compute response body from named text sections, each
+/// written as `<name> <len>\n<len bytes>\n`.
+pub(crate) fn response_body(sections: &[(&str, &[u8])]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for (name, bytes) in sections {
+        out.extend_from_slice(name.as_bytes());
+        out.extend_from_slice(format!(" {}\n", bytes.len()).as_bytes());
+        out.extend_from_slice(bytes);
+        out.push(b'\n');
+    }
+    out
+}
+
+/// Parse an `ok` compute response body into its `(name, bytes)`
+/// sections, in order, borrowing the body.
+///
+/// # Errors
+///
+/// Returns a description of the first malformed section.
+pub fn response_sections(mut body: &[u8]) -> Result<Vec<(&str, &[u8])>, String> {
+    let mut out = Vec::new();
+    while !body.is_empty() {
+        let nl = body
+            .iter()
+            .position(|&b| b == b'\n')
+            .ok_or("section header is not newline-terminated")?;
+        let header = std::str::from_utf8(&body[..nl]).map_err(|_| "section header is not UTF-8")?;
+        let (name, len) = header
+            .split_once(' ')
+            .ok_or_else(|| format!("bad section header: {header:?}"))?;
+        let len: usize = len
+            .parse()
+            .map_err(|_| format!("bad section length: {header:?}"))?;
+        let rest = &body[nl + 1..];
+        let bytes = rest
+            .get(..len)
+            .ok_or_else(|| format!("section {name} truncated"))?;
+        if rest.get(len) != Some(&b'\n') {
+            return Err(format!("section {name} missing trailing newline"));
+        }
+        out.push((name, bytes));
+        body = &rest[len + 1..];
+    }
+    Ok(out)
+}
+
 /// One batch item: request kind, module operands, plain sections.
 pub type BatchItem<'a> = (u8, &'a [ModuleRef], &'a [(u8, &'a [u8])]);
 
@@ -485,8 +663,9 @@ impl ModuleRef {
 /// Build a structured request payload, sending each module by hash when
 /// `by_hash` says the peer already knows it, by body otherwise.
 /// Sections are emitted modules-first in `modules` order, then `plain`
-/// in order — the canonical order shards normalize to, which keeps the
-/// response cache shared between `brs1` and `brs2` clients.
+/// in order. A shard resolves each hash section to its body in place,
+/// so the hash and body forms of one request share a response-cache
+/// entry.
 pub fn request_payload(
     modules: &[ModuleRef],
     plain: &[(u8, &[u8])],
@@ -671,13 +850,7 @@ impl Client2 {
                 for m in *modules {
                     self.known.remove(&m.hash);
                 }
-                let retry = self.call_interned(*k, modules, plain)?;
-                *reply = BatchReply {
-                    kind: retry.kind,
-                    code: retry.code,
-                    aux: retry.aux,
-                    payload: retry.payload,
-                };
+                *reply = self.call_interned(*k, modules, plain)?.into();
             } else if reply.kind == kind::OK {
                 self.known.extend(modules.iter().map(|m| m.hash));
             }
@@ -748,6 +921,96 @@ mod tests {
         .unwrap();
         huge[16..20].copy_from_slice(&(u32::MAX).to_le_bytes());
         assert!(Frame2::read_from(&mut huge.as_slice()).is_err());
+    }
+
+    #[test]
+    fn read_request_drains_oversized_frames_and_stays_in_sync() {
+        // A frame declaring MAX_PAYLOAD+1 bytes, actually carrying them,
+        // followed by a well-formed frame: the reader must report the
+        // oversize and then read the next frame cleanly.
+        let mut wire = Vec::new();
+        Frame2::request(kind::REORDER, &[])
+            .write_to(&mut wire)
+            .unwrap();
+        wire[16..20].copy_from_slice(&((MAX_PAYLOAD as u32) + 1).to_le_bytes());
+        wire.resize(wire.len() + MAX_PAYLOAD + 1, b'y');
+        Frame2::request(kind::HEALTH, &[])
+            .write_to(&mut wire)
+            .unwrap();
+        let mut r = wire.as_slice();
+        match read_request(&mut r).unwrap() {
+            Some(Incoming::Oversized { kind: k, len }) => {
+                assert_eq!(k, kind::REORDER);
+                assert_eq!(len, MAX_PAYLOAD as u64 + 1);
+            }
+            other => panic!("expected an oversized frame, got {other:?}"),
+        }
+        assert!(matches!(
+            read_request(&mut r).unwrap(),
+            Some(Incoming::Frame(f)) if f.kind == kind::HEALTH
+        ));
+        // Clean EOF between frames is a None, not an error.
+        assert!(read_request(&mut r).unwrap().is_none());
+
+        // Beyond the drain limit the reader refuses outright, and any
+        // other prefix — a text header included — is not a frame.
+        let mut silly = wire[..HEADER2].to_vec();
+        silly[16..20].copy_from_slice(&u32::MAX.to_le_bytes());
+        let e = read_request(&mut silly.as_slice()).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+        let e = read_request(&mut b"brs1 health 0\n".as_slice()).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+        assert!(e.to_string().contains("speaks brs2"), "{e}");
+    }
+
+    #[test]
+    fn over_limit_replies_become_oversized_errors() {
+        // Each half fits a frame on its own; together they do not, so
+        // the second item is answered OVERSIZED and the frame fits.
+        let half = BatchReply {
+            kind: kind::OK,
+            code: code::OK,
+            aux: 7,
+            payload: vec![b'x'; MAX_PAYLOAD / 2 + 1],
+        };
+        let frame = batch_response([half.clone(), half.clone()]);
+        assert!(frame.payload.len() <= MAX_PAYLOAD);
+        let replies = batch_replies(&frame.payload).unwrap();
+        assert_eq!(replies[0], half);
+        assert_eq!(
+            (replies[1].kind, replies[1].code),
+            (kind::ERROR, code::OVERSIZED)
+        );
+
+        // A writer refuses to send a payload no reader would accept,
+        // and writes nothing.
+        let mut wire = Vec::new();
+        let too_big = Frame2::ok(0, vec![0; MAX_PAYLOAD + 1]);
+        assert!(too_big.write_to(&mut wire).is_err());
+        assert!(wire.is_empty());
+    }
+
+    #[test]
+    fn response_body_roundtrips_and_torn_bodies_are_errors() {
+        let body = response_body(&[
+            ("module", b"func main() {\n}\n"),
+            ("train", &[0, 255, b'\n', 7]),
+        ]);
+        assert_eq!(
+            &body[..10],
+            b"module 16\n",
+            "the section header format is fixed"
+        );
+        let sections = response_sections(&body).unwrap();
+        assert_eq!(
+            sections,
+            vec![
+                ("module", b"func main() {\n}\n".as_slice()),
+                ("train", [0, 255, b'\n', 7].as_slice()),
+            ]
+        );
+        assert!(response_sections(&body[..body.len() - 2]).is_err());
+        assert!(response_sections(b"module 99999999999999999999\nx\n").is_err());
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! The daemon: TCP listener, connection threads, graceful drain.
 //!
 //! Architecture: one accept loop, one thread per connection, one
-//! bounded worker pool for compute. Connection threads only parse and
-//! write frames; everything that can take real time or panic runs in
-//! the pool behind admission control ([`crate::pool`]).
+//! bounded worker pool for compute. Connection threads only read and
+//! write `brs2` frames ([`serve_frames`], shared with the cluster
+//! router); everything that can take real time or panic runs in the
+//! pool behind admission control ([`crate::pool`]).
 //!
 //! `health`, `metrics`, and `shutdown` bypass the pool on purpose: an
 //! overloaded daemon must still answer its health check (reporting
@@ -22,25 +23,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-use crate::endpoints::{Endpoints, Response};
+use crate::endpoints::Endpoints;
 use crate::metrics::Metrics;
-use crate::pool::{Job, Pool};
-use crate::proto::{self, AnyFrame, Frame, MAX_PAYLOAD};
-use crate::proto2::{self, BatchReply, Frame2};
-
-/// Which protocol versions a listener accepts. A frame in a disallowed
-/// version is answered *in the sender's protocol* with an error naming
-/// both versions, and the connection stays usable — a mismatched client
-/// gets a diagnosis, not a hangup.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ProtocolMode {
-    /// Accept both `brs1` and `brs2` (the default for shards).
-    Both,
-    /// Accept only the `brs1` text protocol.
-    V1Only,
-    /// Accept only the `brs2` binary protocol (cluster routers).
-    V2Only,
-}
+use crate::pool::{Handler, Job, Pool};
+use crate::proto2::{self, code, kind, BatchReply, Frame2, Incoming, MAX_PAYLOAD};
 
 /// Daemon configuration (`brc serve` flags map here 1:1).
 #[derive(Clone, Debug)]
@@ -58,8 +44,6 @@ pub struct ServeConfig {
     pub cache_dir: Option<PathBuf>,
     /// Expose the `sleep`/`panic` fault-injection endpoints.
     pub debug_endpoints: bool,
-    /// Protocol versions this listener accepts.
-    pub protocols: ProtocolMode,
 }
 
 impl Default for ServeConfig {
@@ -71,7 +55,6 @@ impl Default for ServeConfig {
             deadline_ms: 10_000,
             cache_dir: Some(PathBuf::from("target/serve-cache")),
             debug_endpoints: false,
-            protocols: ProtocolMode::Both,
         }
     }
 }
@@ -147,8 +130,7 @@ impl Server {
         } else {
             config.threads
         };
-        let handler: Arc<dyn Fn(&Frame) -> Response + Send + Sync> =
-            Arc::new(move |request| endpoints.handle(request));
+        let handler: Arc<Handler> = Arc::new(move |k, payload| endpoints.handle(k, payload));
         let pool = Pool::start(threads, config.queue, Arc::clone(&metrics), handler);
         Ok(Server {
             addr,
@@ -198,15 +180,17 @@ impl Server {
                     let metrics = Arc::clone(&self.metrics);
                     let shutdown = Arc::clone(&self.shutdown);
                     let deadline_ms = self.config.deadline_ms;
-                    let protocols = self.config.protocols;
                     connections.push(std::thread::spawn(move || {
-                        serve_connection(
+                        serve_frames(
                             stream,
-                            &pool,
-                            &metrics,
-                            &shutdown,
-                            deadline_ms,
-                            protocols,
+                            || shutdown.load(Ordering::SeqCst) || terminated(),
+                            |refused| {
+                                metrics.errors.fetch_add(1, Ordering::Relaxed);
+                                if refused == code::OVERSIZED {
+                                    metrics.oversized.fetch_add(1, Ordering::Relaxed);
+                                }
+                            },
+                            |request| dispatch(request, &pool, &metrics, &shutdown, deadline_ms),
                         );
                     }));
                 }
@@ -237,17 +221,14 @@ impl Server {
 /// the shutdown flag. Once a frame has started, timeouts are retried —
 /// a slow sender must not desynchronize the stream — up to a bound, so
 /// a wedged client cannot hold a drain hostage forever.
-///
-/// Public so the cluster router's connection loop (same read
-/// discipline, different dispatch) can reuse it.
-pub struct FrameReader<R: io::Read> {
+struct FrameReader<R: io::Read> {
     inner: R,
     mid_frame: bool,
 }
 
 impl<R: io::Read> FrameReader<R> {
     /// Wrap a stream whose read timeout doubles as the drain poll tick.
-    pub fn new(inner: R) -> FrameReader<R> {
+    fn new(inner: R) -> FrameReader<R> {
         FrameReader {
             inner,
             mid_frame: false,
@@ -256,7 +237,7 @@ impl<R: io::Read> FrameReader<R> {
 
     /// Mark the frame boundary: the next timeout is *idle*, not a
     /// mid-frame stall. Call before each frame read.
-    pub fn reset(&mut self) {
+    fn reset(&mut self) {
         self.mid_frame = false;
     }
 }
@@ -300,15 +281,23 @@ impl<R: io::Read> io::Read for FrameReader<R> {
     }
 }
 
-/// One connection: read frames (either protocol), dispatch, write
-/// responses, until EOF, error, or drain.
-fn serve_connection(
+/// Serve one connection: read `brs2` frames ([`proto2::read_request`]),
+/// answer each with `dispatch`, until EOF, an I/O error, a frame that
+/// is not `brs2`, `dispatch` returning `false`, or `stopping()` seen
+/// while idle. The connection loop of the daemon and the cluster
+/// router.
+///
+/// The loop answers what `dispatch` never sees, calling `refused` with
+/// the code of each: an oversized frame (`code::OVERSIZED`; the payload
+/// was drained, so the connection stays usable), bytes that are not a
+/// `brs2` frame (`code::PROTOCOL`; then it hangs up, the stream
+/// position being unknowable), and a reply too large for a frame
+/// (`code::OVERSIZED`, in place of the reply).
+pub fn serve_frames(
     stream: TcpStream,
-    pool: &Pool,
-    metrics: &Metrics,
-    shutdown: &AtomicBool,
-    deadline_ms: u64,
-    protocols: ProtocolMode,
+    stopping: impl Fn() -> bool,
+    mut refused: impl FnMut(u16),
+    mut dispatch: impl FnMut(Frame2) -> (Frame2, bool),
 ) {
     // The read timeout doubles as the drain poll interval: an idle
     // connection notices shutdown within 200 ms.
@@ -321,320 +310,140 @@ fn serve_connection(
     let mut writer = io::BufWriter::new(stream);
     loop {
         reader.reset();
-        let any = match proto::read_any(&mut reader) {
-            Ok(Some(any)) => any,
+        let (mut response, keep_going) = match proto2::read_request(&mut reader) {
+            Ok(Some(Incoming::Frame(request))) => dispatch(request),
+            Ok(Some(Incoming::Oversized { kind, len })) => {
+                refused(code::OVERSIZED);
+                let message = format!(
+                    "oversized frame: opcode {kind} declared {len} bytes, limit is {MAX_PAYLOAD}"
+                );
+                (Frame2::error(code::OVERSIZED, &message), true)
+            }
             Ok(None) => return,
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
-                if shutdown.load(Ordering::SeqCst) || TERMINATED.load(Ordering::SeqCst) {
+                if stopping() {
                     return;
                 }
                 continue;
             }
             Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                // Protocol garbage: answer once, then hang up — the
-                // stream position is unknowable after a bad header.
-                metrics.errors.fetch_add(1, Ordering::Relaxed);
-                let _ = Frame::text("error", &format!("protocol error: {e}")).write_to(&mut writer);
-                return;
+                refused(code::PROTOCOL);
+                let message = format!("protocol error: {e}");
+                (Frame2::error(code::PROTOCOL, &message), false)
             }
             Err(_) => return,
         };
-        let keep_going = match any {
-            AnyFrame::OversizedV1 { kind, len } => {
-                // Satellite fix: the payload was drained, so the stream
-                // is still frame-aligned — answer and keep serving.
-                metrics.oversized.fetch_add(1, Ordering::Relaxed);
-                metrics.errors.fetch_add(1, Ordering::Relaxed);
-                Frame::text(
-                    "error",
-                    &format!(
-                        "oversized frame: {kind} declared {len} bytes, limit is {MAX_PAYLOAD}\n"
-                    ),
-                )
-                .write_to(&mut writer)
-                .is_ok()
-            }
-            AnyFrame::OversizedV2 { kind, len } => {
-                metrics.oversized.fetch_add(1, Ordering::Relaxed);
-                metrics.errors.fetch_add(1, Ordering::Relaxed);
-                Frame2::error(
-                    proto2::code::OVERSIZED,
-                    &format!("oversized frame: opcode {kind} declared {len} bytes, limit is {MAX_PAYLOAD}"),
-                )
-                .write_to(&mut writer)
-                .is_ok()
-            }
-            AnyFrame::V1(request) => {
-                if protocols == ProtocolMode::V2Only {
-                    metrics.mismatch.fetch_add(1, Ordering::Relaxed);
-                    Frame::text(
-                        "error",
-                        &format!(
-                            "protocol mismatch: this endpoint speaks brs2 (binary), \
-                             the request was brs1 {:?}; reconnect with brs2 framing\n",
-                            request.kind
-                        ),
-                    )
-                    .write_to(&mut writer)
-                    .is_ok()
-                } else {
-                    serve_v1(request, pool, metrics, shutdown, deadline_ms, &mut writer)
-                }
-            }
-            AnyFrame::V2(request) => {
-                if protocols == ProtocolMode::V1Only {
-                    metrics.mismatch.fetch_add(1, Ordering::Relaxed);
-                    Frame2::error(
-                        proto2::code::PROTOCOL,
-                        &format!(
-                            "protocol mismatch: this endpoint speaks brs1 (text), \
-                             the request was brs2 opcode {}; reconnect with brs1 framing",
-                            request.kind
-                        ),
-                    )
-                    .write_to(&mut writer)
-                    .is_ok()
-                } else {
-                    metrics.v2_requests.fetch_add(1, Ordering::Relaxed);
-                    serve_v2(request, pool, metrics, shutdown, deadline_ms, &mut writer)
-                }
-            }
-        };
-        if !keep_going {
+        if response.payload.len() > MAX_PAYLOAD {
+            refused(code::OVERSIZED);
+            response = proto2::oversized_reply(response.payload.len()).into();
+        }
+        if response.write_to(&mut writer).is_err() || !keep_going {
             return;
         }
     }
 }
 
-/// Dispatch one `brs1` frame. Returns `false` when the connection is
-/// done (write failure, drain, or shutdown).
-fn serve_v1(
-    request: Frame,
-    pool: &Pool,
-    metrics: &Metrics,
-    shutdown: &AtomicBool,
-    deadline_ms: u64,
-    writer: &mut impl io::Write,
-) -> bool {
-    metrics.count_request(&request.kind);
-    let response = match request.kind.as_str() {
-        "health" => {
-            let state = if shutdown.load(Ordering::SeqCst) {
-                "draining"
-            } else {
-                "ok"
-            };
-            Frame::text("ok", &format!("{state}\n"))
-        }
-        "metrics" => Frame::text("ok", &metrics.render()),
-        "shutdown" => {
-            shutdown.store(true, Ordering::SeqCst);
-            let _ = Frame::text("ok", "draining\n").write_to(writer);
-            return false;
-        }
-        _ => {
-            let (reply, result) = mpsc::channel();
-            let deadline =
-                (deadline_ms > 0).then(|| Instant::now() + Duration::from_millis(deadline_ms));
-            let job = Job {
-                request,
-                accepted: Instant::now(),
-                deadline,
-                reply,
-            };
-            match pool.submit(job) {
-                Ok(()) => match result.recv() {
-                    Ok(response) => response.frame,
-                    // Worker vanished mid-drain; the connection has
-                    // nothing useful left to say.
-                    Err(_) => return false,
-                },
-                Err(_job) => {
-                    metrics.shed.fetch_add(1, Ordering::Relaxed);
-                    Frame::text("overloaded", "admission queue full; retry with backoff\n")
-                }
-            }
-        }
-    };
-    response.write_to(writer).is_ok()
-}
-
-/// Dispatch one `brs2` frame (possibly a batch). Returns `false` when
-/// the connection is done.
-fn serve_v2(
+/// Answer one `brs2` frame: control verbs on the connection thread,
+/// compute requests (single or batched) through the pool. The flag is
+/// `false` when the connection should close after the response.
+fn dispatch(
     request: Frame2,
     pool: &Pool,
     metrics: &Metrics,
     shutdown: &AtomicBool,
     deadline_ms: u64,
-    writer: &mut impl io::Write,
-) -> bool {
-    let response = match request.kind {
-        proto2::kind::HEALTH => {
-            metrics.count_request("health");
-            let state = if shutdown.load(Ordering::SeqCst) {
-                "draining"
-            } else {
-                "ok"
-            };
-            Frame2::ok(0, format!("{state}\n").into_bytes())
-        }
-        proto2::kind::METRICS => {
-            metrics.count_request("metrics");
-            Frame2::ok(0, metrics.render().into_bytes())
-        }
-        proto2::kind::SHUTDOWN => {
-            metrics.count_request("shutdown");
-            shutdown.store(true, Ordering::SeqCst);
-            let _ = Frame2::ok(0, b"draining\n".to_vec()).write_to(writer);
-            return false;
-        }
-        proto2::kind::BATCH => {
-            let items = match proto2::batch_items(&request.payload) {
-                Ok(items) => items,
+) -> (Frame2, bool) {
+    let response =
+        match request.kind {
+            kind::HEALTH => {
+                metrics.count_request(kind::HEALTH);
+                let state = if shutdown.load(Ordering::SeqCst) {
+                    "draining"
+                } else {
+                    "ok"
+                };
+                Frame2::ok(0, format!("{state}\n").into_bytes())
+            }
+            kind::METRICS => {
+                metrics.count_request(kind::METRICS);
+                Frame2::ok(0, metrics.render().into_bytes())
+            }
+            kind::SHUTDOWN => {
+                metrics.count_request(kind::SHUTDOWN);
+                shutdown.store(true, Ordering::SeqCst);
+                return (Frame2::ok(0, b"draining\n".to_vec()), false);
+            }
+            kind::BATCH => match proto2::batch_items(&request.payload) {
+                Ok(items) => {
+                    metrics
+                        .batch_items
+                        .fetch_add(items.len() as u64, Ordering::Relaxed);
+                    proto2::batch_response(items.into_iter().map(|(k, payload)| {
+                        run_item(k, payload.to_vec(), pool, metrics, deadline_ms)
+                    }))
+                }
                 Err(e) => {
                     metrics.errors.fetch_add(1, Ordering::Relaxed);
-                    return Frame2::error(proto2::code::BAD_REQUEST, &format!("bad batch: {e}"))
-                        .write_to(writer)
-                        .is_ok();
+                    Frame2::error(code::BAD_REQUEST, &format!("bad batch: {e}"))
                 }
-            };
-            metrics
-                .batch_items
-                .fetch_add(items.len() as u64, Ordering::Relaxed);
-            let mut payload = Vec::new();
-            for (kind, item_payload) in items {
-                let reply = dispatch_v2_item(kind, item_payload, pool, metrics, deadline_ms);
-                proto2::push_batch_reply(&mut payload, &reply);
-            }
-            Frame2 {
-                kind: proto2::kind::OK,
-                flags: proto2::flags::BATCH,
-                code: proto2::code::OK,
-                aux: 0,
-                payload,
-            }
-        }
-        kind => {
-            let reply = dispatch_v2_item(kind, &request.payload, pool, metrics, deadline_ms);
-            Frame2 {
-                kind: reply.kind,
-                flags: 0,
-                code: reply.code,
-                aux: reply.aux,
-                payload: reply.payload,
-            }
-        }
-    };
-    response.write_to(writer).is_ok()
+            },
+            k => run_item(k, request.payload, pool, metrics, deadline_ms).into(),
+        };
+    (response, true)
 }
 
-/// Run one `brs2` compute item through the pool, returning the reply in
+/// Run one compute request through the pool, returning the reply in
 /// batch-item shape (also used, unbatched, for single frames).
-fn dispatch_v2_item(
-    kind: u8,
-    payload: &[u8],
+fn run_item(
+    k: u8,
+    payload: Vec<u8>,
     pool: &Pool,
     metrics: &Metrics,
     deadline_ms: u64,
 ) -> BatchReply {
     let error = |code: u16, message: String| BatchReply {
-        kind: proto2::kind::ERROR,
+        kind: kind::ERROR,
         code,
         aux: 0,
         payload: message.into_bytes(),
     };
-    let Some(kind_name) = proto2::kind_name(kind) else {
+    let Some(name) = proto2::kind_name(k) else {
         metrics.errors.fetch_add(1, Ordering::Relaxed);
-        return error(
-            proto2::code::BAD_REQUEST,
-            format!("unknown brs2 opcode {kind}"),
-        );
+        return error(code::BAD_REQUEST, format!("unknown brs2 opcode {k}"));
     };
-    if matches!(
-        kind,
-        proto2::kind::HEALTH | proto2::kind::METRICS | proto2::kind::SHUTDOWN
-    ) {
+    if matches!(k, kind::HEALTH | kind::METRICS | kind::SHUTDOWN) {
         metrics.errors.fetch_add(1, Ordering::Relaxed);
         return error(
-            proto2::code::BAD_REQUEST,
-            format!("{kind_name} is not batchable; send it as its own frame"),
+            code::BAD_REQUEST,
+            format!("{name} is not batchable; send it as its own frame"),
         );
     }
-    metrics.count_request(kind_name);
-    // The debug endpoints take raw text payloads, not sections.
-    let request = if matches!(kind, proto2::kind::SLEEP | proto2::kind::PANIC) {
-        Ok(Frame {
-            kind: kind_name.to_string(),
-            payload: payload.to_vec(),
-        })
-    } else {
-        v2_payload_to_v1(kind_name, payload)
-    };
-    let request = match request {
-        Ok(frame) => frame,
-        Err(e) => {
-            metrics.errors.fetch_add(1, Ordering::Relaxed);
-            return error(proto2::code::BAD_REQUEST, e);
-        }
-    };
+    metrics.count_request(k);
     let (reply, result) = mpsc::channel();
     let deadline = (deadline_ms > 0).then(|| Instant::now() + Duration::from_millis(deadline_ms));
     let job = Job {
-        request,
+        kind: k,
+        payload,
         accepted: Instant::now(),
         deadline,
         reply,
     };
     match pool.submit(job) {
         Ok(()) => match result.recv() {
-            Ok(response) => BatchReply {
-                kind: if response.frame.kind == "ok" {
-                    proto2::kind::OK
-                } else {
-                    proto2::kind::ERROR
-                },
-                code: response.code,
-                aux: response.cache_key,
-                payload: response.frame.payload,
-            },
+            Ok(response) => response.into(),
             Err(_) => error(
-                proto2::code::DRAINING,
+                code::DRAINING,
                 "worker pool drained mid-request".to_string(),
             ),
         },
         Err(_job) => {
             metrics.shed.fetch_add(1, Ordering::Relaxed);
             error(
-                proto2::code::SHED,
+                code::SHED,
                 "admission queue full; retry with backoff".to_string(),
             )
         }
     }
-}
-
-/// Translate a `brs2` binary-section payload into the equivalent `brs1`
-/// frame the endpoints understand. Body sections keep their `brs1`
-/// names; hash sections become `name#` pseudo-sections the endpoint
-/// resolves against the intern table.
-fn v2_payload_to_v1(kind_name: &str, payload: &[u8]) -> Result<Frame, String> {
-    let sections = proto2::sections(payload)?;
-    let mut named: Vec<(String, &[u8])> = Vec::with_capacity(sections.len());
-    for (id, bytes) in sections {
-        if let Some(name) = proto2::sec_name(id) {
-            named.push((name.to_string(), bytes));
-        } else if let Some(body) = proto2::hash_target(id) {
-            let body_name = proto2::sec_name(body).expect("hash targets are body sections");
-            named.push((format!("{body_name}#"), bytes));
-        } else {
-            return Err(format!("unknown brs2 section id {id}"));
-        }
-    }
-    let borrowed: Vec<proto::Section<'_>> = named
-        .iter()
-        .map(|(name, bytes)| proto::Section { name, bytes })
-        .collect();
-    Ok(Frame::structured(kind_name, &borrowed))
 }

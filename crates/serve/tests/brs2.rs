@@ -1,27 +1,25 @@
-//! `brs2` protocol end-to-end tests: a real daemon on a real socket,
-//! exercised over the binary protocol.
+//! `brs2` protocol end-to-end tests: a real daemon on a real socket.
 //!
 //! The contracts pinned here:
 //!
-//! * a `brs2` reorder response carries the **byte-identical** section
-//!   stream a `brs1` client gets — including the `certs` proof
-//!   section — whether computed fresh or resolved from hashes;
+//! * a reorder response is **byte-identical** — including the `certs`
+//!   proof section — whether the module travelled as a full body or as
+//!   a content hash resolved from the intern table;
 //! * module interning: a hash the shard has never seen draws a
 //!   `need-module` error naming the hash; after one upload the same
 //!   hash-only request succeeds, and survives a daemon **restart** via
 //!   the shared artifact cache;
 //! * batched requests answer item-for-item identically to unbatched;
-//! * protocol mismatch (either direction) draws a structured error
-//!   naming both versions, **in the sender's protocol**, and the same
-//!   connection can immediately continue in the right one;
+//! * bytes that are not a `brs2` frame (a text header, say) draw one
+//!   `code::PROTOCOL` error naming `brs2`, then a hang-up;
 //! * an oversized frame is answered with an error and the connection
-//!   stays usable;
+//!   stays usable, and so is a reply too large for one frame;
 //! * admission control under deterministic saturation: a wedged
 //!   worker plus a full queue sheds exactly the overflow with the
 //!   `shed` code, and every accepted request completes within its
 //!   deadline (`deadline_expired` stays 0).
 
-use std::io::Write as _;
+use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
@@ -29,9 +27,10 @@ use std::time::Duration;
 use br_ir::print_module;
 use br_minic::{compile, HeuristicSet, Options};
 use br_serve::metrics::Metrics;
-use br_serve::proto::{section, Client, Frame, Section, MAX_PAYLOAD};
-use br_serve::proto2::{self, request_payload, Frame2, ModuleRef};
-use br_serve::server::{ProtocolMode, ServeConfig, Server};
+use br_serve::proto2::{
+    self, code, kind, request_payload, response_sections, sec, Frame2, ModuleRef, MAX_PAYLOAD,
+};
+use br_serve::server::{ServeConfig, Server};
 use br_serve::Client2;
 
 fn start_daemon(mut config: ServeConfig) -> (std::thread::JoinHandle<()>, String) {
@@ -42,20 +41,12 @@ fn start_daemon(mut config: ServeConfig) -> (std::thread::JoinHandle<()>, String
     (handle, addr)
 }
 
-fn shutdown_v1(addr: &str) {
-    let mut client = Client::connect(addr).expect("connect for shutdown");
-    let bye = client
-        .call(&Frame::text("shutdown", ""))
-        .expect("shutdown acknowledged");
-    assert_eq!(bye.kind, "ok");
-}
-
-fn shutdown_v2(addr: &str) {
+fn shutdown(addr: &str) {
     let mut client = Client2::connect(addr).expect("connect for shutdown");
     let bye = client
-        .call(&Frame2::request(proto2::kind::SHUTDOWN, &[]))
+        .call(&Frame2::request(kind::SHUTDOWN, &[]))
         .expect("shutdown acknowledged");
-    assert_eq!(bye.kind, proto2::kind::OK, "{}", bye.payload_text());
+    assert_eq!(bye.kind, kind::OK, "{}", bye.payload_text());
 }
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -63,10 +54,20 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
 }
 
 fn counter(addr: &str, name: &str) -> u64 {
-    let mut client = Client::connect(addr).expect("connect for metrics");
-    let response = client.call(&Frame::text("metrics", "")).expect("metrics");
+    let mut client = Client2::connect(addr).expect("connect for metrics");
+    let response = client
+        .call(&Frame2::request(kind::METRICS, &[]))
+        .expect("metrics");
+    assert_eq!(response.kind, kind::OK);
     Metrics::parse_counter(&response.payload_text(), name)
         .unwrap_or_else(|| panic!("counter {name} missing from:\n{}", response.payload_text()))
+}
+
+fn health(stream: &mut TcpStream) -> Frame2 {
+    Frame2::request(kind::HEALTH, &[])
+        .write_to(stream)
+        .expect("send health");
+    Frame2::read_from(stream).expect("health answer")
 }
 
 fn workload_operands(name: &str, train_size: usize) -> (Arc<String>, Vec<u8>) {
@@ -80,86 +81,53 @@ fn workload_operands(name: &str, train_size: usize) -> (Arc<String>, Vec<u8>) {
     )
 }
 
-fn v1_reorder(client: &mut Client, module_text: &str, train: &[u8]) -> Frame {
-    client
-        .call(&Frame::structured(
-            "reorder",
-            &[
-                Section {
-                    name: "module",
-                    bytes: module_text.as_bytes(),
-                },
-                Section {
-                    name: "train",
-                    bytes: train,
-                },
-            ],
-        ))
-        .expect("v1 call")
-}
-
 #[test]
-fn brs2_response_is_byte_identical_to_brs1_including_certs() {
-    // No cache: both protocols compute fresh, so equality checks the
-    // normalization path, not a shared cache entry.
+fn hash_referenced_reorder_is_byte_identical_to_full_body_including_certs() {
+    // No cache: both forms compute fresh, so equality checks hash
+    // resolution, not a shared cache entry.
     let (daemon, addr) = start_daemon(ServeConfig {
         threads: 2,
         cache_dir: None,
         ..ServeConfig::default()
     });
-    let mut v1 = Client::connect(&addr).expect("v1 connect");
-    let mut v2 = Client2::connect(&addr).expect("v2 connect");
+    let mut client = Client2::connect(&addr).expect("connect");
     for name in ["wc", "grep"] {
         let (module_text, train) = workload_operands(name, 512);
-        let v1_response = v1_reorder(&mut v1, &module_text, &train);
-        assert_eq!(v1_response.kind, "ok", "{}", v1_response.payload_text());
-
-        let modules = vec![ModuleRef::new(
-            proto2::sec::MODULE,
-            Arc::clone(&module_text),
-        )];
-        let v2_response = v2
-            .call_interned(
-                proto2::kind::REORDER,
-                &modules,
-                &[(proto2::sec::TRAIN, &train)],
-            )
-            .expect("v2 call");
+        let full_body = client
+            .call(&Frame2::request(
+                kind::REORDER,
+                &[(sec::MODULE, module_text.as_bytes()), (sec::TRAIN, &train)],
+            ))
+            .expect("full-body call");
         assert_eq!(
-            v2_response.kind,
-            proto2::kind::OK,
+            full_body.kind,
+            kind::OK,
             "{name}: {}",
-            v2_response.payload_text()
-        );
-        assert_eq!(
-            v2_response.payload, v1_response.payload,
-            "{name}: brs2 OK payload must be the brs1 section stream, verbatim"
+            full_body.payload_text()
         );
 
-        // The proof certificates travel in both answers.
-        let as_v1 = Frame {
-            kind: "ok".to_string(),
-            payload: v2_response.payload.clone(),
-        };
-        let sections = as_v1.sections().expect("structured response");
-        let certs = section(&sections, "certs").expect("certs section");
-        assert!(
-            !certs.bytes.is_empty(),
-            "{name}: certs section must be populated"
-        );
+        // The proof certificates travel in the answer.
+        let sections = response_sections(&full_body.payload).expect("structured response");
+        let (_, certs) = sections
+            .iter()
+            .find(|(n, _)| *n == "certs")
+            .expect("certs section");
+        assert!(!certs.is_empty(), "{name}: certs section must be populated");
 
         // Steady state: the same request by hash only, no body, and the
         // answer is still byte-identical.
-        let hash_only = v2
-            .call_interned(
-                proto2::kind::REORDER,
-                &modules,
-                &[(proto2::sec::TRAIN, &train)],
-            )
+        let modules = vec![ModuleRef::new(sec::MODULE, Arc::clone(&module_text))];
+        let hash_only = client
+            .call(&Frame2 {
+                payload: request_payload(&modules, &[(sec::TRAIN, &train)], |_| true),
+                ..Frame2::request(kind::REORDER, &[])
+            })
             .expect("hash-only call");
-        assert_eq!(hash_only.payload, v1_response.payload, "{name}");
+        assert_eq!(hash_only.kind, kind::OK, "{}", hash_only.payload_text());
+        assert_eq!(hash_only.payload, full_body.payload, "{name}");
+        assert_eq!(hash_only.aux, full_body.aux, "{name}: one cache key");
     }
-    shutdown_v1(&addr);
+    shutdown(&addr);
     daemon.join().expect("daemon thread");
 }
 
@@ -173,25 +141,22 @@ fn need_module_flow_uploads_once_and_survives_restart() {
         ..ServeConfig::default()
     });
     let (module_text, train) = workload_operands("wc", 256);
-    let modules = vec![ModuleRef::new(
-        proto2::sec::MODULE,
-        Arc::clone(&module_text),
-    )];
+    let modules = vec![ModuleRef::new(sec::MODULE, Arc::clone(&module_text))];
 
     // A hash the daemon has never seen draws need-module, naming it.
     let mut v2 = Client2::connect(&addr).expect("connect");
     let optimistic = Frame2 {
-        kind: proto2::kind::REORDER,
+        kind: kind::REORDER,
         flags: 0,
         code: 0,
         aux: 0,
-        payload: request_payload(&modules, &[(proto2::sec::TRAIN, &train)], |_| true),
+        payload: request_payload(&modules, &[(sec::TRAIN, &train)], |_| true),
     };
     let refused = v2.call(&optimistic).expect("answered");
-    assert_eq!(refused.kind, proto2::kind::ERROR);
+    assert_eq!(refused.kind, kind::ERROR);
     assert_eq!(
         refused.code,
-        proto2::code::NEED_MODULE,
+        code::NEED_MODULE,
         "{}",
         refused.payload_text()
     );
@@ -206,23 +171,14 @@ fn need_module_flow_uploads_once_and_survives_restart() {
 
     // One full upload, then hash-only succeeds — same bytes.
     let uploaded = v2
-        .call_interned(
-            proto2::kind::REORDER,
-            &modules,
-            &[(proto2::sec::TRAIN, &train)],
-        )
+        .call_interned(kind::REORDER, &modules, &[(sec::TRAIN, &train)])
         .expect("upload call");
-    assert_eq!(
-        uploaded.kind,
-        proto2::kind::OK,
-        "{}",
-        uploaded.payload_text()
-    );
+    assert_eq!(uploaded.kind, kind::OK, "{}", uploaded.payload_text());
     let by_hash = v2.call(&optimistic).expect("hash-only call");
-    assert_eq!(by_hash.kind, proto2::kind::OK, "{}", by_hash.payload_text());
+    assert_eq!(by_hash.kind, kind::OK, "{}", by_hash.payload_text());
     assert_eq!(by_hash.payload, uploaded.payload);
     assert_eq!(counter(&addr, "need_module"), 1, "no second upload needed");
-    shutdown_v1(&addr);
+    shutdown(&addr);
     daemon.join().expect("daemon thread");
 
     // Restart on the same cache directory: the interned body comes back
@@ -236,13 +192,18 @@ fn need_module_flow_uploads_once_and_survives_restart() {
     let after_restart = v2.call(&optimistic).expect("hash-only after restart");
     assert_eq!(
         after_restart.kind,
-        proto2::kind::OK,
+        kind::OK,
         "interned module must survive restart via the artifact cache: {}",
         after_restart.payload_text()
     );
     assert_eq!(after_restart.payload, uploaded.payload);
     assert_eq!(counter(&addr, "need_module"), 0);
-    shutdown_v1(&addr);
+    assert_eq!(
+        counter(&addr, "cache_hits"),
+        1,
+        "the hash-only request must hit the full-body upload's cache entry"
+    );
+    shutdown(&addr);
     daemon.join().expect("daemon thread");
     let _ = std::fs::remove_dir_all(&cache);
 }
@@ -258,26 +219,21 @@ fn batched_requests_answer_identically_to_unbatched() {
     });
     let (wc_text, wc_train) = workload_operands("wc", 256);
     let (cb_text, cb_train) = workload_operands("cb", 256);
-    let wc_modules = vec![ModuleRef::new(proto2::sec::MODULE, wc_text)];
-    let cb_modules = vec![ModuleRef::new(proto2::sec::MODULE, cb_text)];
-    let wc_plain: Vec<(u8, &[u8])> = vec![(proto2::sec::TRAIN, &wc_train)];
-    let cb_plain: Vec<(u8, &[u8])> = vec![(proto2::sec::TRAIN, &cb_train)];
+    let wc_modules = vec![ModuleRef::new(sec::MODULE, wc_text)];
+    let cb_modules = vec![ModuleRef::new(sec::MODULE, cb_text)];
+    let wc_plain: Vec<(u8, &[u8])> = vec![(sec::TRAIN, &wc_train)];
+    let cb_plain: Vec<(u8, &[u8])> = vec![(sec::TRAIN, &cb_train)];
 
     let mut batcher = Client2::connect(&addr).expect("connect");
     let items: Vec<proto2::BatchItem<'_>> = vec![
-        (proto2::kind::REORDER, &wc_modules, &wc_plain),
-        (proto2::kind::REORDER, &cb_modules, &cb_plain),
-        (proto2::kind::REORDER, &wc_modules, &wc_plain),
+        (kind::REORDER, &wc_modules, &wc_plain),
+        (kind::REORDER, &cb_modules, &cb_plain),
+        (kind::REORDER, &wc_modules, &wc_plain),
     ];
     let replies = batcher.call_batch(&items).expect("batch call");
     assert_eq!(replies.len(), 3);
     for (i, reply) in replies.iter().enumerate() {
-        assert_eq!(
-            reply.kind,
-            proto2::kind::OK,
-            "item {i}: {:?}",
-            reply.payload
-        );
+        assert_eq!(reply.kind, kind::OK, "item {i}: {:?}", reply.payload);
         assert_ne!(reply.aux, 0, "item {i}: cacheable response carries its key");
     }
     assert_eq!(
@@ -294,93 +250,51 @@ fn batched_requests_answer_identically_to_unbatched() {
     let mut single = Client2::connect(&addr).expect("connect");
     for (i, (k, modules, plain)) in items.iter().enumerate() {
         let lone = single.call_interned(*k, modules, plain).expect("call");
-        assert_eq!(lone.kind, proto2::kind::OK);
+        assert_eq!(lone.kind, kind::OK);
         assert_eq!(
             lone.payload, replies[i].payload,
             "item {i}: batched and unbatched answers must be byte-identical"
         );
     }
-    shutdown_v1(&addr);
+    shutdown(&addr);
     daemon.join().expect("daemon thread");
     let _ = std::fs::remove_dir_all(&cache);
 }
 
 #[test]
-fn v1_frame_to_v2_only_endpoint_draws_structured_mismatch_and_connection_survives() {
+fn a_text_header_draws_a_protocol_error_naming_brs2_then_a_hangup() {
     let (daemon, addr) = start_daemon(ServeConfig {
         threads: 1,
         cache_dir: None,
-        protocols: ProtocolMode::V2Only,
         ..ServeConfig::default()
     });
     let mut stream = TcpStream::connect(&addr).expect("connect");
-    Frame::text("health", "")
-        .write_to(&mut stream)
-        .expect("send v1");
-    let refused = Frame::read_from(&mut stream)
-        .expect("answered in v1")
-        .expect("not EOF");
-    assert_eq!(refused.kind, "error");
+    stream
+        .write_all(b"brs1 health 0\n")
+        .expect("send a text header");
+    let refused = Frame2::read_from(&mut stream).expect("answered in brs2");
+    assert_eq!(refused.kind, kind::ERROR);
+    assert_eq!(refused.code, code::PROTOCOL);
     let text = refused.payload_text();
     assert!(
-        text.contains("brs2") && text.contains("brs1"),
-        "mismatch error must name both protocol versions: {text}"
+        text.contains("brs2"),
+        "the error must name the protocol: {text}"
     );
-    assert_eq!(counter_v2(&addr, "mismatch"), 1);
+    // The stream position is unknowable after garbage: the daemon hangs
+    // up rather than guess. (The unread rest of the header may turn the
+    // close into a reset.)
+    let mut rest = Vec::new();
+    match stream.read_to_end(&mut rest) {
+        Ok(_) => assert!(rest.is_empty(), "nothing after the error: {rest:?}"),
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset),
+    }
 
-    // Same connection, correct protocol: served.
-    Frame2::request(proto2::kind::HEALTH, &[])
-        .write_to(&mut stream)
-        .expect("send v2");
-    let ok = Frame2::read_from(&mut stream).expect("v2 answer");
-    assert_eq!(ok.kind, proto2::kind::OK);
-    drop(stream);
-    shutdown_v2(&addr);
-    daemon.join().expect("daemon thread");
-}
-
-/// Metrics over `brs2`, for daemons that refuse `brs1`.
-fn counter_v2(addr: &str, name: &str) -> u64 {
-    let mut client = Client2::connect(addr).expect("connect for metrics");
-    let response = client
-        .call(&Frame2::request(proto2::kind::METRICS, &[]))
-        .expect("metrics");
-    assert_eq!(response.kind, proto2::kind::OK);
-    Metrics::parse_counter(&response.payload_text(), name)
-        .unwrap_or_else(|| panic!("counter {name} missing from:\n{}", response.payload_text()))
-}
-
-#[test]
-fn v2_frame_to_v1_only_endpoint_draws_structured_mismatch_and_connection_survives() {
-    let (daemon, addr) = start_daemon(ServeConfig {
-        threads: 1,
-        cache_dir: None,
-        protocols: ProtocolMode::V1Only,
-        ..ServeConfig::default()
-    });
-    let mut stream = TcpStream::connect(&addr).expect("connect");
-    Frame2::request(proto2::kind::HEALTH, &[])
-        .write_to(&mut stream)
-        .expect("send v2");
-    let refused = Frame2::read_from(&mut stream).expect("answered in v2");
-    assert_eq!(refused.kind, proto2::kind::ERROR);
-    assert_eq!(refused.code, proto2::code::PROTOCOL);
-    let text = refused.payload_text();
-    assert!(
-        text.contains("brs1") && text.contains("brs2"),
-        "mismatch error must name both protocol versions: {text}"
-    );
-
-    // Same connection, downgraded to brs1: served.
-    Frame::text("health", "")
-        .write_to(&mut stream)
-        .expect("send v1");
-    let ok = Frame::read_from(&mut stream)
-        .expect("v1 answer")
-        .expect("not EOF");
-    assert_eq!(ok.kind, "ok");
-    drop(stream);
-    shutdown_v1(&addr);
+    // A fresh connection is served.
+    let mut fresh = TcpStream::connect(&addr).expect("reconnect");
+    assert_eq!(health(&mut fresh).kind, kind::OK);
+    drop(fresh);
+    assert_eq!(counter(&addr, "error"), 1);
+    shutdown(&addr);
     daemon.join().expect("daemon thread");
 }
 
@@ -393,67 +307,96 @@ fn oversized_frames_are_answered_and_connection_stays_usable() {
     });
     let oversize = MAX_PAYLOAD as u64 + 1;
     let chunk = vec![0u8; 1 << 20];
-    let write_bulk = |stream: &mut TcpStream| {
-        let mut left = oversize;
-        while left > 0 {
-            let n = (left as usize).min(chunk.len());
-            stream.write_all(&chunk[..n]).expect("bulk write");
-            left -= n as u64;
-        }
-    };
 
-    // brs2: hand-built header declaring one byte past the limit.
+    // A hand-built header declaring one byte past the limit.
     let mut stream = TcpStream::connect(&addr).expect("connect");
     let mut header = Vec::new();
     header.extend_from_slice(b"brs2");
-    header.push(proto2::kind::REORDER);
+    header.push(kind::REORDER);
     header.push(0); // flags
     header.extend_from_slice(&0u16.to_le_bytes()); // code
     header.extend_from_slice(&0u64.to_le_bytes()); // aux
     header.extend_from_slice(&(oversize as u32).to_le_bytes());
     stream.write_all(&header).expect("header");
-    write_bulk(&mut stream);
+    let mut left = oversize;
+    while left > 0 {
+        let n = (left as usize).min(chunk.len());
+        stream.write_all(&chunk[..n]).expect("bulk write");
+        left -= n as u64;
+    }
     let refused = Frame2::read_from(&mut stream).expect("answered");
-    assert_eq!(refused.kind, proto2::kind::ERROR);
-    assert_eq!(
-        refused.code,
-        proto2::code::OVERSIZED,
-        "{}",
-        refused.payload_text()
-    );
+    assert_eq!(refused.kind, kind::ERROR);
+    assert_eq!(refused.code, code::OVERSIZED, "{}", refused.payload_text());
     // The connection survived the drain and keeps serving.
-    Frame2::request(proto2::kind::HEALTH, &[])
-        .write_to(&mut stream)
-        .expect("send health");
-    let ok = Frame2::read_from(&mut stream).expect("health answer");
-    assert_eq!(ok.kind, proto2::kind::OK);
+    assert_eq!(health(&mut stream).kind, kind::OK);
     drop(stream);
 
-    // brs1: same contract in the text protocol.
-    let mut stream = TcpStream::connect(&addr).expect("connect");
-    writeln!(stream, "brs1 reorder {oversize}").expect("header");
-    write_bulk(&mut stream);
-    let refused = Frame::read_from(&mut stream)
-        .expect("answered")
-        .expect("not EOF");
-    assert_eq!(refused.kind, "error");
-    assert!(
-        refused.payload_text().contains("oversized"),
-        "{}",
-        refused.payload_text()
-    );
-    Frame::text("health", "")
-        .write_to(&mut stream)
-        .expect("send health");
-    let ok = Frame::read_from(&mut stream)
-        .expect("health answer")
-        .expect("not EOF");
-    assert_eq!(ok.kind, "ok");
-    drop(stream);
-
-    assert_eq!(counter(&addr, "oversized"), 2);
-    shutdown_v1(&addr);
+    assert_eq!(counter(&addr, "oversized"), 1);
+    shutdown(&addr);
     daemon.join().expect("daemon thread");
+}
+
+#[test]
+fn a_batch_reply_past_the_frame_limit_is_answered_oversized_and_connection_stays_usable() {
+    let cache = temp_dir("big-reply");
+    let _ = std::fs::remove_dir_all(&cache);
+    let (daemon, addr) = start_daemon(ServeConfig {
+        threads: 1,
+        cache_dir: Some(cache.clone()),
+        ..ServeConfig::default()
+    });
+    let (module_text, train) = workload_operands("wc", 64);
+    let request = Frame2::request(
+        kind::REORDER,
+        &[(sec::MODULE, module_text.as_bytes()), (sec::TRAIN, &train)],
+    );
+    let mut client = Client2::connect(&addr).expect("connect");
+    let first = client.call(&request).expect("reorder");
+    assert_eq!(first.kind, kind::OK, "{}", first.payload_text());
+
+    // Replace the request's cache entry with a body more than half a
+    // frame long: one answer fits a frame, two in a batch do not.
+    let body = "x".repeat(MAX_PAYLOAD / 2 + 1024);
+    let key = format!("{:016x}", first.aux);
+    let put = Frame2::request(
+        kind::CACHEPUT,
+        &[(sec::KEY, key.as_bytes()), (sec::BODY, body.as_bytes())],
+    );
+    let stored = client.call(&put).expect("cacheput");
+    assert_eq!(stored.kind, kind::OK, "{}", stored.payload_text());
+
+    let mut batch = Vec::new();
+    for _ in 0..2 {
+        proto2::push_batch_item(&mut batch, kind::REORDER, &request.payload);
+    }
+    let reply = client
+        .call(&Frame2 {
+            flags: proto2::flags::BATCH,
+            payload: batch,
+            ..Frame2::request(kind::BATCH, &[])
+        })
+        .expect("the batch reply fits a frame");
+    assert!(reply.payload.len() <= MAX_PAYLOAD);
+    let items = proto2::batch_replies(&reply.payload).expect("batch replies");
+    assert_eq!(items.len(), 2);
+    assert_eq!(items[0].kind, kind::OK);
+    assert_eq!(items[0].payload, body.as_bytes());
+    assert_eq!(
+        (items[1].kind, items[1].code),
+        (kind::ERROR, code::OVERSIZED),
+        "{}",
+        String::from_utf8_lossy(&items[1].payload)
+    );
+
+    // The same connection is still frame-aligned.
+    let ok = client
+        .call(&Frame2::request(kind::HEALTH, &[]))
+        .expect("health after the big reply");
+    assert_eq!(ok.kind, kind::OK);
+    drop(client);
+    shutdown(&addr);
+    daemon.join().expect("daemon thread");
+    let _ = std::fs::remove_dir_all(&cache);
 }
 
 #[test]
@@ -467,26 +410,28 @@ fn saturated_admission_queue_sheds_exactly_the_overflow_and_accepted_work_meets_
         debug_endpoints: true,
         ..ServeConfig::default()
     });
+    let sleep = |ms: &str| Frame2 {
+        payload: ms.as_bytes().to_vec(),
+        ..Frame2::request(kind::SLEEP, &[])
+    };
 
     // Wedge the single worker with a slow request, then fill the
-    // depth-1 queue — both over brs2.
+    // depth-1 queue.
     let occupy = {
         let addr = addr.clone();
+        let slow = sleep("800");
         std::thread::spawn(move || {
             let mut c = Client2::connect(&addr).expect("connect");
-            let mut sleep = Frame2::request(proto2::kind::SLEEP, &[]);
-            sleep.payload = b"800".to_vec();
-            c.call(&sleep).expect("slow request")
+            c.call(&slow).expect("slow request")
         })
     };
     std::thread::sleep(Duration::from_millis(200));
     let queued = {
         let addr = addr.clone();
+        let quick = sleep("10");
         std::thread::spawn(move || {
             let mut c = Client2::connect(&addr).expect("connect");
-            let mut sleep = Frame2::request(proto2::kind::SLEEP, &[]);
-            sleep.payload = b"10".to_vec();
-            c.call(&sleep).expect("queued request")
+            c.call(&quick).expect("queued request")
         })
     };
     std::thread::sleep(Duration::from_millis(200));
@@ -496,35 +441,24 @@ fn saturated_admission_queue_sheds_exactly_the_overflow_and_accepted_work_meets_
     const OVERFLOW: usize = 5;
     for i in 0..OVERFLOW {
         let mut c = Client2::connect(&addr).expect("connect");
-        let mut sleep = Frame2::request(proto2::kind::SLEEP, &[]);
-        sleep.payload = b"10".to_vec();
-        let shed = c.call(&sleep).expect("shed answered");
-        assert_eq!(shed.kind, proto2::kind::ERROR, "overflow request {i}");
+        let shed = c.call(&sleep("10")).expect("shed answered");
+        assert_eq!(shed.kind, kind::ERROR, "overflow request {i}");
         assert_eq!(
             shed.code,
-            proto2::code::SHED,
+            code::SHED,
             "overflow request {i}: {}",
             shed.payload_text()
         );
     }
-    // And the same saturation over brs1 draws the overloaded frame.
-    let mut v1 = Client::connect(&addr).expect("connect");
-    let shed_v1 = v1.call(&Frame::text("sleep", "10")).expect("shed answered");
-    assert_eq!(shed_v1.kind, "overloaded", "{}", shed_v1.payload_text());
 
     // Every accepted request completes fine and within deadline.
     let occupied = occupy.join().expect("occupier");
-    assert_eq!(
-        occupied.kind,
-        proto2::kind::OK,
-        "{}",
-        occupied.payload_text()
-    );
+    assert_eq!(occupied.kind, kind::OK, "{}", occupied.payload_text());
     let queued = queued.join().expect("queued");
-    assert_eq!(queued.kind, proto2::kind::OK, "{}", queued.payload_text());
+    assert_eq!(queued.kind, kind::OK, "{}", queued.payload_text());
 
-    assert_eq!(counter(&addr, "shed"), OVERFLOW as u64 + 1);
+    assert_eq!(counter(&addr, "shed"), OVERFLOW as u64);
     assert_eq!(counter(&addr, "deadline_expired"), 0);
-    shutdown_v1(&addr);
+    shutdown(&addr);
     daemon.join().expect("daemon thread");
 }

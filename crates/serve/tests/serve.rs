@@ -5,8 +5,8 @@
 //! * responses are byte-identical to the in-process pipeline, with the
 //!   translation validator's verdict attached;
 //! * a queue-depth-1 daemon under slow requests sheds excess load with
-//!   `overloaded` frames instead of queueing it;
-//! * a request that panics the pipeline yields an `error` frame while
+//!   `code::SHED` errors instead of queueing it;
+//! * a request that panics the pipeline yields an error frame while
 //!   the daemon keeps serving;
 //! * a warm 4-thread daemon sustains >= 1000 reorder requests/sec with
 //!   p99 under the configured deadline;
@@ -17,7 +17,7 @@ use std::time::Duration;
 use br_ir::print_module;
 use br_minic::{compile, HeuristicSet, Options};
 use br_reorder::{reorder_module, ReorderOptions};
-use br_serve::proto::{section, Client, Frame, Section};
+use br_serve::proto2::{code, kind, response_sections, sec, Client2, Frame2};
 use br_serve::server::{ServeConfig, Server};
 use br_serve::{run_loadgen, LoadgenConfig};
 
@@ -31,11 +31,29 @@ fn start_daemon(mut config: ServeConfig) -> (std::thread::JoinHandle<()>, String
     (handle, addr)
 }
 
-fn shutdown(addr: &str) -> Frame {
-    let mut client = Client::connect(addr).expect("connect for shutdown");
+fn shutdown(addr: &str) -> Frame2 {
+    let mut client = Client2::connect(addr).expect("connect for shutdown");
     client
-        .call(&Frame::text("shutdown", ""))
+        .call(&Frame2::request(kind::SHUTDOWN, &[]))
         .expect("shutdown acknowledged")
+}
+
+/// A debug `sleep` request holding a worker for `ms` milliseconds.
+fn sleep(ms: u64) -> Frame2 {
+    Frame2 {
+        payload: ms.to_string().into_bytes(),
+        ..Frame2::request(kind::SLEEP, &[])
+    }
+}
+
+/// The named section of an ok response body, as text.
+fn section<'a>(response: &'a Frame2, name: &str) -> &'a str {
+    let sections = response_sections(&response.payload).expect("structured response");
+    let (_, bytes) = sections
+        .into_iter()
+        .find(|(n, _)| *n == name)
+        .unwrap_or_else(|| panic!("missing section {name}"));
+    std::str::from_utf8(bytes).expect("UTF-8 section")
 }
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -50,18 +68,12 @@ fn workload_module(name: &str) -> br_ir::Module {
     m
 }
 
-fn reorder_request(module: &br_ir::Module, train: &[u8]) -> Frame {
-    Frame::structured(
-        "reorder",
+fn reorder_request(module: &br_ir::Module, train: &[u8]) -> Frame2 {
+    Frame2::request(
+        kind::REORDER,
         &[
-            Section {
-                name: "module",
-                bytes: print_module(module).as_bytes(),
-            },
-            Section {
-                name: "train",
-                bytes: train,
-            },
+            (sec::MODULE, print_module(module).as_bytes()),
+            (sec::TRAIN, train),
         ],
     )
 }
@@ -73,16 +85,20 @@ fn served_reorder_is_byte_identical_to_in_process_pipeline() {
         cache_dir: None,
         ..ServeConfig::default()
     });
-    let mut client = Client::connect(&addr).expect("connect");
+    let mut client = Client2::connect(&addr).expect("connect");
     for name in ["wc", "cb", "grep"] {
         let module = workload_module(name);
         let train = br_workloads::by_name(name).unwrap().training_input(512);
         let response = client
             .call(&reorder_request(&module, &train))
             .expect("call succeeds");
-        assert_eq!(response.kind, "ok", "{name}: {}", response.payload_text());
-        let sections = response.sections().expect("structured response");
-        let served = section(&sections, "module").unwrap().text().unwrap();
+        assert_eq!(
+            response.kind,
+            kind::OK,
+            "{name}: {}",
+            response.payload_text()
+        );
+        let served = section(&response, "module");
 
         let opts = ReorderOptions {
             validate: true,
@@ -96,7 +112,7 @@ fn served_reorder_is_byte_identical_to_in_process_pipeline() {
         );
 
         // The verdict travels with the module, and it is clean.
-        let verdict = section(&sections, "validation").unwrap().text().unwrap();
+        let verdict = section(&response, "validation");
         assert!(verdict.starts_with("proven "), "{name}: {verdict}");
         assert!(verdict.contains("failures 0"), "{name}: {verdict}");
         let local_summary = local.validation.expect("validate on");
@@ -105,7 +121,7 @@ fn served_reorder_is_byte_identical_to_in_process_pipeline() {
             "{name}: proven count must match in-process run: {verdict}"
         );
     }
-    assert_eq!(shutdown(&addr).kind, "ok");
+    assert_eq!(shutdown(&addr).kind, kind::OK);
     daemon.join().expect("daemon thread");
 }
 
@@ -123,28 +139,29 @@ fn queue_depth_one_sheds_excess_load_with_overloaded_frames() {
     let occupy = {
         let addr = addr.clone();
         std::thread::spawn(move || {
-            let mut c = Client::connect(&addr).expect("connect");
-            c.call(&Frame::text("sleep", "800")).expect("slow request")
+            let mut c = Client2::connect(&addr).expect("connect");
+            c.call(&sleep(800)).expect("slow request")
         })
     };
     std::thread::sleep(Duration::from_millis(200));
     let queued = {
         let addr = addr.clone();
         std::thread::spawn(move || {
-            let mut c = Client::connect(&addr).expect("connect");
-            c.call(&Frame::text("sleep", "10")).expect("queued request")
+            let mut c = Client2::connect(&addr).expect("connect");
+            c.call(&sleep(10)).expect("queued request")
         })
     };
     std::thread::sleep(Duration::from_millis(200));
     // Worker busy, queue full: this request must be shed, immediately.
-    let mut c = Client::connect(&addr).expect("connect");
-    let response = c.call(&Frame::text("sleep", "10")).expect("shed request");
-    assert_eq!(response.kind, "overloaded", "{}", response.payload_text());
+    let mut c = Client2::connect(&addr).expect("connect");
+    let response = c.call(&sleep(10)).expect("shed request");
+    assert_eq!(response.kind, kind::ERROR, "{}", response.payload_text());
+    assert_eq!(response.code, code::SHED, "{}", response.payload_text());
 
     // The wedged and queued requests still complete normally.
-    assert_eq!(occupy.join().expect("occupier").kind, "ok");
-    assert_eq!(queued.join().expect("queued").kind, "ok");
-    assert_eq!(shutdown(&addr).kind, "ok");
+    assert_eq!(occupy.join().expect("occupier").kind, kind::OK);
+    assert_eq!(queued.join().expect("queued").kind, kind::OK);
+    assert_eq!(shutdown(&addr).kind, kind::OK);
     daemon.join().expect("daemon thread");
 }
 
@@ -156,11 +173,14 @@ fn pipeline_panic_yields_error_frame_and_daemon_survives() {
         debug_endpoints: true,
         ..ServeConfig::default()
     });
-    let mut client = Client::connect(&addr).expect("connect");
-    let response = client
-        .call(&Frame::text("panic", "poisoned module"))
-        .expect("panic answered, not dropped");
-    assert_eq!(response.kind, "error");
+    let mut client = Client2::connect(&addr).expect("connect");
+    let panic = Frame2 {
+        payload: b"poisoned module".to_vec(),
+        ..Frame2::request(kind::PANIC, &[])
+    };
+    let response = client.call(&panic).expect("panic answered, not dropped");
+    assert_eq!(response.kind, kind::ERROR);
+    assert_eq!(response.code, code::INTERNAL);
     assert!(
         response.payload_text().contains("poisoned module"),
         "{}",
@@ -173,8 +193,8 @@ fn pipeline_panic_yields_error_frame_and_daemon_survives() {
     let ok = client
         .call(&reorder_request(&module, &train))
         .expect("daemon survived the panic");
-    assert_eq!(ok.kind, "ok", "{}", ok.payload_text());
-    assert_eq!(shutdown(&addr).kind, "ok");
+    assert_eq!(ok.kind, kind::OK, "{}", ok.payload_text());
+    assert_eq!(shutdown(&addr).kind, kind::OK);
     daemon.join().expect("daemon thread");
 }
 
@@ -185,9 +205,11 @@ fn health_and_metrics_report_live_state() {
         cache_dir: None,
         ..ServeConfig::default()
     });
-    let mut client = Client::connect(&addr).expect("connect");
-    let health = client.call(&Frame::text("health", "")).expect("health");
-    assert_eq!(health.kind, "ok");
+    let mut client = Client2::connect(&addr).expect("connect");
+    let health = client
+        .call(&Frame2::request(kind::HEALTH, &[]))
+        .expect("health");
+    assert_eq!(health.kind, kind::OK);
     assert_eq!(health.payload_text(), "ok\n");
 
     let module = workload_module("wc");
@@ -195,7 +217,9 @@ fn health_and_metrics_report_live_state() {
     client
         .call(&reorder_request(&module, &train))
         .expect("reorder");
-    let metrics = client.call(&Frame::text("metrics", "")).expect("metrics");
+    let metrics = client
+        .call(&Frame2::request(kind::METRICS, &[]))
+        .expect("metrics");
     let text = metrics.payload_text();
     assert!(
         text.contains("br_serve_requests_total{kind=\"reorder\"} 1"),
@@ -203,7 +227,7 @@ fn health_and_metrics_report_live_state() {
     );
     assert!(text.contains("br_serve_ok_total 1"), "{text}");
     assert!(text.contains("br_serve_latency_us_p99"), "{text}");
-    assert_eq!(shutdown(&addr).kind, "ok");
+    assert_eq!(shutdown(&addr).kind, kind::OK);
     daemon.join().expect("daemon thread");
 }
 
@@ -252,7 +276,7 @@ fn warm_daemon_sustains_1000_reorder_requests_per_second() {
         p99 < Duration::from_millis(deadline_ms),
         "p99 {p99:?} breaches the {deadline_ms} ms deadline"
     );
-    assert_eq!(shutdown(&addr).kind, "ok");
+    assert_eq!(shutdown(&addr).kind, kind::OK);
     daemon.join().expect("daemon thread");
     let _ = std::fs::remove_dir_all(&cache);
 }
@@ -271,21 +295,22 @@ fn deadline_expired_in_queue_is_an_error_frame() {
     let occupy = {
         let addr = addr.clone();
         std::thread::spawn(move || {
-            let mut c = Client::connect(&addr).expect("connect");
-            c.call(&Frame::text("sleep", "600")).expect("slow request")
+            let mut c = Client2::connect(&addr).expect("connect");
+            c.call(&sleep(600)).expect("slow request")
         })
     };
     std::thread::sleep(Duration::from_millis(200));
-    let mut c = Client::connect(&addr).expect("connect");
-    let response = c.call(&Frame::text("sleep", "10")).expect("late request");
-    assert_eq!(response.kind, "error", "{}", response.payload_text());
+    let mut c = Client2::connect(&addr).expect("connect");
+    let response = c.call(&sleep(10)).expect("late request");
+    assert_eq!(response.kind, kind::ERROR, "{}", response.payload_text());
+    assert_eq!(response.code, code::DEADLINE, "{}", response.payload_text());
     assert!(
         response.payload_text().contains("deadline expired"),
         "{}",
         response.payload_text()
     );
-    assert_eq!(occupy.join().expect("occupier").kind, "ok");
-    assert_eq!(shutdown(&addr).kind, "ok");
+    assert_eq!(occupy.join().expect("occupier").kind, kind::OK);
+    assert_eq!(shutdown(&addr).kind, kind::OK);
     daemon.join().expect("daemon thread");
 }
 
@@ -298,19 +323,19 @@ fn graceful_drain_answers_in_flight_work_and_counts_are_consistent() {
     });
     let module = workload_module("wc");
     let train = br_workloads::by_name("wc").unwrap().training_input(256);
-    let mut client = Client::connect(&addr).expect("connect");
+    let mut client = Client2::connect(&addr).expect("connect");
     let ok = client
         .call(&reorder_request(&module, &train))
         .expect("reorder");
-    assert_eq!(ok.kind, "ok");
+    assert_eq!(ok.kind, kind::OK);
     let bye = shutdown(&addr);
-    assert_eq!(bye.kind, "ok");
+    assert_eq!(bye.kind, kind::OK);
     assert_eq!(bye.payload_text(), "draining\n");
     daemon.join().expect("daemon drains cleanly");
     // A post-drain connect must fail: the listener is gone.
     std::thread::sleep(Duration::from_millis(50));
     assert!(
-        Client::connect(&addr).is_err(),
+        Client2::connect(&addr).is_err(),
         "listener closed after drain"
     );
 }

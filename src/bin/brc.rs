@@ -74,14 +74,13 @@
 //!   `--jobs N`, `--time SECS`, `--smoke` small programs for CI,
 //!   `--corpus DIR`, `--no-reduce`, `--replay FILE` re-check a repro).
 //! * `serve` run the reordering-as-a-service daemon: `reorder`,
-//!   `measure`, and `profile` endpoints over length-prefixed TCP
-//!   frames, with a bounded admission queue, per-request deadlines,
-//!   panic isolation, a content-addressed response cache, and
-//!   plaintext `health`/`metrics` (`--addr HOST:PORT`, `--threads N`,
-//!   `--queue N`, `--deadline-ms N`, `--cache DIR`, `--no-cache`,
-//!   `--debug-endpoints`, `--protocols both|brs1|brs2`). Speaks both
-//!   the `brs1` text protocol and the `brs2` binary protocol (module
-//!   interning, batching). Drains gracefully on SIGTERM or a
+//!   `measure`, and `profile` endpoints over the `brs2` binary
+//!   protocol (module interning, batching), with a bounded admission
+//!   queue, per-request deadlines, panic isolation, a
+//!   content-addressed response cache, and plaintext `health`/`metrics`
+//!   (`--addr HOST:PORT`, `--threads N`, `--queue N`,
+//!   `--deadline-ms N`, `--cache DIR`, `--no-cache`,
+//!   `--debug-endpoints`). Drains gracefully on SIGTERM or a
 //!   `shutdown` frame.
 //! * `cluster` run the sharded service: N `brc serve` child processes
 //!   behind the consistent-hash `brs2` router, with cache replication
@@ -94,9 +93,9 @@
 //!   corpus. Closed loop by default (`--conns N`, `--passes N`); open
 //!   loop with `--open --rate R` (or `--rates R1,R2,...` for the
 //!   latency-vs-offered-load sweep), scheduling requests on a shared
-//!   clock and charging latency from the *scheduled* time. `--brs2`
-//!   switches to the binary protocol, `--batch K` packs K requests
-//!   per frame, `--procs N` fans the open loop across N worker
+//!   clock and charging latency from the *scheduled* time. Requests
+//!   travel over `brs2` with module interning; `--batch K` packs K
+//!   requests per frame, `--procs N` fans the open loop across N worker
 //!   processes, `--curves FILE` writes the sweep as CSV,
 //!   `--assert-throughput N` exits 1 below N req/s. Also `--train N`,
 //!   `--input N`, `--duration-ms N`, `--reorder-only`, `--smoke` the
@@ -158,12 +157,12 @@ fn usage() -> ! {
        \x20      brc fuzz [--seeds N] [--start-seed N] [--jobs N] [--time SECS] [--smoke] \
          [--corpus DIR] [--no-reduce] [--replay FILE]\n\
        \x20      brc serve [--addr HOST:PORT] [--threads N] [--queue N] [--deadline-ms N] \
-         [--cache DIR] [--no-cache] [--debug-endpoints] [--protocols both|brs1|brs2]\n\
+         [--cache DIR] [--no-cache] [--debug-endpoints]\n\
        \x20      brc cluster [--addr HOST:PORT] [--shards N] [--base-port P] [--cache DIR] \
          [--no-cache] [--threads N] [--queue N] [--deadline-ms N] [--no-replicate] \
          [--hot-threshold N]\n\
        \x20      brc loadgen [--addr HOST:PORT] [--conns N] [--passes N] [--train N] \
-         [--input N] [--reorder-only] [--brs2] [--batch K] [--smoke] [--shutdown] \
+         [--input N] [--reorder-only] [--batch K] [--smoke] [--shutdown] \
          [--assert-throughput N]\n\
        \x20      brc loadgen --open (--rate R | --rates R1,R2,...) [--duration-ms N] \
          [--procs N] [--curves FILE] [common flags above]\n\
@@ -1306,16 +1305,6 @@ fn cmd_serve(argv: impl Iterator<Item = String>) -> ! {
             "--cache" => config.cache_dir = Some(flag_value("--cache", argv.next()).into()),
             "--no-cache" => config.cache_dir = None,
             "--debug-endpoints" => config.debug_endpoints = true,
-            "--protocols" => {
-                config.protocols = match flag_value("--protocols", argv.next()).as_str() {
-                    "both" => br_serve::ProtocolMode::Both,
-                    "brs1" => br_serve::ProtocolMode::V1Only,
-                    "brs2" => br_serve::ProtocolMode::V2Only,
-                    other => bad_args(format_args!(
-                        "--protocols must be both, brs1, or brs2 (got {other})"
-                    )),
-                }
-            }
             "--help" | "-h" => usage(),
             other => bad_args(format_args!("unexpected argument: {other}")),
         }
@@ -1384,8 +1373,8 @@ fn cmd_cluster(argv: impl Iterator<Item = String>) -> ! {
 /// or cluster.
 fn cmd_loadgen(argv: impl Iterator<Item = String>) -> ! {
     use br_serve::loadgen::{
-        run_curves, run_loadgen, run_open_loop, run_open_multiproc, run_smoke, write_curves,
-        LoadgenConfig, OpenLoopConfig,
+        run_curves, run_loadgen, run_open_loop, run_open_multiproc, run_smoke, shutdown,
+        write_curves, LoadgenConfig, OpenLoopConfig,
     };
 
     let mut config = LoadgenConfig::default();
@@ -1406,7 +1395,6 @@ fn cmd_loadgen(argv: impl Iterator<Item = String>) -> ! {
             "--train" => config.train_size = parse_flag("--train", argv.next()),
             "--input" => config.input_size = parse_flag("--input", argv.next()),
             "--reorder-only" => config.reorder_only = true,
-            "--brs2" => config.brs2 = true,
             "--batch" => config.batch = parse_flag("--batch", argv.next()),
             "--open" => open = true,
             "--rate" => rates.push(parse_flag("--rate", argv.next())),
@@ -1473,9 +1461,6 @@ fn cmd_loadgen(argv: impl Iterator<Item = String>) -> ! {
         if config.reorder_only {
             worker_args.push("--reorder-only".to_string());
         }
-        if config.brs2 {
-            worker_args.push("--brs2".to_string());
-        }
         let result = if rates.len() > 1 || curves.is_some() {
             run_curves(&base, &rates, procs, &worker_args)
         } else if procs > 1 {
@@ -1525,18 +1510,9 @@ fn cmd_loadgen(argv: impl Iterator<Item = String>) -> ! {
                     eprintln!("brc: loadgen smoke FAILED: {v}");
                 }
                 if shutdown_after {
-                    let drained = br_serve::Client::connect(&smoke_config.addr)
-                        .and_then(|mut c| c.call(&br_serve::Frame::text("shutdown", "")));
-                    match drained {
-                        Ok(bye) if bye.kind == "ok" => {}
-                        Ok(bye) => {
-                            eprintln!("brc: loadgen shutdown refused: {}", bye.payload_text());
-                            exit(1)
-                        }
-                        Err(e) => {
-                            eprintln!("brc: loadgen shutdown failed: {e}");
-                            exit(1)
-                        }
+                    if let Err(e) = shutdown(&smoke_config.addr) {
+                        eprintln!("brc: loadgen shutdown failed: {e}");
+                        exit(1)
                     }
                 }
                 exit(if violations.is_empty() { 0 } else { 1 })
