@@ -44,6 +44,8 @@ pub struct AdaptReport {
     pub swaps: u64,
     /// Swaps aborted by a failed validation.
     pub aborted_swaps: u64,
+    /// Swaps admitted by re-checking a cached proof certificate.
+    pub cert_admissions: u64,
     /// Epochs in which drift was flagged.
     pub drift_epochs: u64,
     /// Total adaptation epochs.
@@ -186,6 +188,7 @@ pub fn adapt_stream(
         rows,
         swaps: adaptive.swaps(),
         aborted_swaps: adaptive.aborted_swaps(),
+        cert_admissions: adaptive.cert_admissions(),
         drift_epochs: adaptive.drift_epochs(),
         epochs: adaptive.epochs(),
     })

@@ -34,7 +34,7 @@ use br_reorder::{
     DispatchPlan, Ordering, Proof, SequenceCertificate, SequencePlan, SequenceProfile,
     StageFailure,
 };
-use br_vm::{EpochHook, RunOutcome, Trap, VmOptions};
+use br_vm::{EpochHook, Image, RunOutcome, Trap, VmOptions};
 
 use crate::drift::{normalize, DriftDecision, DriftDetector, DriftThresholds};
 
@@ -104,6 +104,9 @@ struct SeqState {
 /// A continuously reoptimizing execution environment for one module.
 pub struct AdaptiveRuntime {
     module: Module,
+    /// `module` decoded for the VM's fast engine; re-decoded after a
+    /// segment that swapped.
+    image: Image,
     /// The instrumented module before any swap: every replica is
     /// validated against this, so repeated swaps cannot compound error.
     pristine: Module,
@@ -172,6 +175,7 @@ impl AdaptiveRuntime {
             }
         }
         Ok(AdaptiveRuntime {
+            image: Image::decode(&module),
             module,
             pristine,
             opts: opts.clone(),
@@ -191,15 +195,18 @@ impl AdaptiveRuntime {
         for s in &mut self.seqs {
             s.last_cum.fill(0);
         }
-        let outcome = {
-            let mut ctl = EpochController {
-                seqs: &mut self.seqs,
-                pristine: &self.pristine,
-                opts: &self.opts,
-                epochs: &mut self.epochs,
-            };
-            br_vm::run_hooked(&mut self.module, input, &self.opts.vm, &mut ctl)?
+        let mut ctl = EpochController {
+            seqs: &mut self.seqs,
+            pristine: &self.pristine,
+            opts: &self.opts,
+            epochs: &mut self.epochs,
+            swapped: false,
         };
+        let outcome = br_vm::run_hooked(&mut self.module, input, &self.opts.vm, &mut ctl);
+        if ctl.swapped {
+            self.image = Image::decode(&self.module);
+        }
+        let outcome = outcome?;
         // Fold the tail of the run (since the last epoch) into the
         // decayed counters, undecayed — the next epoch will halve it.
         for s in &mut self.seqs {
@@ -224,7 +231,7 @@ impl AdaptiveRuntime {
             epoch_blocks: 0,
             ..self.opts.vm.clone()
         };
-        br_vm::run(&self.module, input, &opts)
+        br_vm::run_image(&self.image, input, &opts)
     }
 
     /// The currently deployed module.
@@ -277,6 +284,8 @@ struct EpochController<'a> {
     pristine: &'a Module,
     opts: &'a AdaptOptions,
     epochs: &'a mut u64,
+    /// Some epoch of this run mutated the module.
+    swapped: bool,
 }
 
 impl EpochHook for EpochController<'_> {
@@ -321,6 +330,7 @@ impl EpochHook for EpochController<'_> {
             // drift would re-flag every epoch.
             s.detector.rebase(live, &self.opts.thresholds);
         }
+        self.swapped |= mutated;
         mutated
     }
 }

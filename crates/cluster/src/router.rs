@@ -45,7 +45,7 @@ use br_serve::metrics::Metrics;
 use br_serve::proto2::{
     self, batch_items, batch_replies, module_hash, push_batch_item, BatchReply, Client2, Frame2,
 };
-use br_serve::server::serve_frames;
+use br_serve::server::{accept_until_shutdown, serve_frames};
 use br_sweep::cache::fnv1a;
 
 use crate::ring::Ring;
@@ -222,7 +222,6 @@ impl Router {
         }
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let shards = config
             .shards
             .iter()
@@ -282,27 +281,11 @@ impl Router {
     ///
     /// Only fatal listener errors.
     pub fn wait(mut self) -> io::Result<()> {
-        let mut connections = Vec::new();
-        loop {
-            if self.shutdown.load(Ordering::SeqCst) || br_serve::terminated() {
-                break;
-            }
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    let state = Arc::clone(&self.state);
-                    let shutdown = Arc::clone(&self.shutdown);
-                    connections.push(std::thread::spawn(move || {
-                        route_connection(stream, &state, &shutdown);
-                    }));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(20));
-                    connections.retain(|c| !c.is_finished());
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
+        let connections = accept_until_shutdown(&self.listener, &self.shutdown, |stream| {
+            let state = Arc::clone(&self.state);
+            let shutdown = Arc::clone(&self.shutdown);
+            std::thread::spawn(move || route_connection(stream, &state, &shutdown))
+        })?;
         self.shutdown.store(true, Ordering::SeqCst);
         self.state.draining.store(true, Ordering::SeqCst);
         for c in connections {

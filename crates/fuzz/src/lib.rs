@@ -16,7 +16,8 @@
 //!   lowers its switches per heuristic Sets I/II/III, so a cross-set
 //!   run is a genuine differential of three lowerings of one program.
 //! * [`oracle`] — runs each program × random inputs through
-//!   `run_reference`, the fast path, and the reordered module, flagging
+//!   `run_reference`, the fast path (plain, and paused at epochs on
+//!   the instrumented module), and the reordered module, flagging
 //!   any `RunOutcome` or trap divergence and cross-checking the
 //!   translation validator's verdict against observed behavior
 //!   (validator-accepts-but-diverges is the critical class).
@@ -56,9 +57,10 @@ use br_sweep::scheduler::{default_threads, parallel_map};
 use br_vm::{run, run_reference};
 
 pub use gen::{GenConfig, Spec};
+use oracle::diff_full;
 pub use oracle::{
-    check_seed, check_spec_io, fuzz_vm_options, inject_fault, FaultInjection, FaultSite, Finding,
-    OracleOptions,
+    check_seed, check_spec_io, fuzz_vm_options, inject_fault, paused_differential, FaultInjection,
+    FaultSite, Finding, OracleOptions, PAUSE_EPOCH_BLOCKS,
 };
 pub use reduce::{reduce_finding, Reduced};
 
@@ -381,20 +383,16 @@ fn replay_module(
 
     let r = run_reference(module, input, &vm);
     let f = run(module, input, &vm);
-    let engines_diverge = match (&r, &f) {
-        (Ok(a), Ok(b)) => {
-            a.exit != b.exit
-                || a.output != b.output
-                || a.stats != b.stats
-                || a.profiles != b.profiles
-        }
-        (Err(a), Err(b)) => a != b,
-        _ => true,
-    };
     check(
         "reference vs fast path",
-        engines_diverge,
+        diff_full(&r, &f).is_some(),
         format!("{} vs {}", behavior_line(&r), behavior_line(&f)),
+    );
+    let (pr, ph) = paused_differential(module, input, &vm);
+    check(
+        "instrumented: reference vs paused fast path",
+        diff_full(&pr, &ph).is_some(),
+        format!("{} vs {}", behavior_line(&pr), behavior_line(&ph)),
     );
 
     if let Some(want) = expect {

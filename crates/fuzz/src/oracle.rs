@@ -7,7 +7,11 @@
 //!    module; a generated module must always be verifier-clean.
 //! 2. **Engine differential** — `run_reference` (tree-walker) vs. `run`
 //!    (pre-decoded fast path) on every test input, compared field by
-//!    field (exit, output, stats, profiles, predictors, traps).
+//!    field (exit, output, stats, profiles, predictors, block counts,
+//!    traps). A third engine covers epoch pauses: `run_hooked` with an
+//!    idle hook pausing every [`PAUSE_EPOCH_BLOCKS`] blocks, on the module
+//!    instrumented as the adaptive runtime deploys it, against
+//!    `run_reference` on the same module ([`paused_differential`]).
 //! 3. **Cross-lowering differential** — observable behavior (exit,
 //!    output, trap) against the Set I lowering of the same spec; stats
 //!    legitimately differ between lowerings, behavior must not.
@@ -27,8 +31,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use br_ir::{print_module, verify_module_all, BlockId, Inst, Module, Terminator};
 use br_minic::HeuristicSet;
-use br_reorder::{reorder_module, ReorderOptions};
-use br_vm::{run, run_reference, RunOutcome, Trap, VmOptions};
+use br_reorder::{detect_all, instrument_module, reorder_module, ReorderOptions};
+use br_vm::{run, run_hooked, run_reference, EpochHook, RunOutcome, Trap, VmOptions};
 
 use crate::gen::Spec;
 
@@ -130,10 +134,46 @@ pub fn fuzz_vm_options() -> VmOptions {
     }
 }
 
+/// Epoch length of the pause-path engine: short, so a generated
+/// program's sequence heads pause many times per input.
+pub const PAUSE_EPOCH_BLOCKS: u64 = 3;
+
+/// An epoch hook that never mutates the module.
+struct Idle;
+
+impl EpochHook for Idle {
+    fn on_epoch(&mut self, _: &mut Module, _: &mut [Vec<u64>]) -> bool {
+        false
+    }
+}
+
+/// The pause-path differential on one input: `module` instrumented with
+/// a probe at every detected sequence head (the adaptive runtime's
+/// safe points), run by `run_reference` and by `run_hooked` pausing
+/// every [`PAUSE_EPOCH_BLOCKS`] blocks. Returns `(reference, hooked)`.
+pub fn paused_differential(
+    module: &Module,
+    input: &[u8],
+    vm: &VmOptions,
+) -> (Result<RunOutcome, Trap>, Result<RunOutcome, Trap>) {
+    let mut instrumented = module.clone();
+    instrument_module(&mut instrumented, &detect_all(module));
+    let vm = VmOptions {
+        epoch_blocks: PAUSE_EPOCH_BLOCKS,
+        ..vm.clone()
+    };
+    let reference = run_reference(&instrumented, input, &vm);
+    let hooked = run_hooked(&mut instrumented, input, &vm, &mut Idle);
+    (reference, hooked)
+}
+
 /// First differing `RunOutcome` field between two engines on the same
 /// module, or `None` when equal. Ordered so the most meaningful label
 /// wins (a wrong exit usually drags stats along with it).
-fn diff_full(a: &Result<RunOutcome, Trap>, b: &Result<RunOutcome, Trap>) -> Option<&'static str> {
+pub(crate) fn diff_full(
+    a: &Result<RunOutcome, Trap>,
+    b: &Result<RunOutcome, Trap>,
+) -> Option<&'static str> {
     match (a, b) {
         (Ok(x), Ok(y)) => {
             if x.exit != y.exit {
@@ -146,6 +186,8 @@ fn diff_full(a: &Result<RunOutcome, Trap>, b: &Result<RunOutcome, Trap>) -> Opti
                 Some("profiles")
             } else if x.predictor_results != y.predictor_results {
                 Some("predictors")
+            } else if x.block_counts != y.block_counts {
+                Some("block-counts")
             } else {
                 None
             }
@@ -351,6 +393,24 @@ pub fn check_spec_io(
                     false,
                     &format!("orig-{field}"),
                     format!("reference {} vs fast {}", describe(r), describe(f)),
+                    text.clone(),
+                    tests[i].clone(),
+                    None,
+                ));
+                engine_diverged = true;
+                break;
+            }
+        }
+        // The pause path: the same module instrumented, paused often.
+        for (i, t) in tests.iter().enumerate() {
+            let (r, h) = paused_differential(&module, t, &vm);
+            if let Some(field) = diff_full(&r, &h) {
+                findings.push(make(
+                    set_name,
+                    "paused-divergence",
+                    false,
+                    &format!("orig-{field}"),
+                    format!("reference {} vs paused {}", describe(&r), describe(&h)),
                     text.clone(),
                     tests[i].clone(),
                     None,

@@ -10,13 +10,47 @@ use crate::token::{Pos, Tok, Token};
 ///
 /// Returns the first syntax error with its position.
 pub fn parse(tokens: &[Token]) -> Result<Program, CompileError> {
-    let mut p = Parser { tokens, at: 0 };
+    let mut p = Parser {
+        tokens,
+        at: 0,
+        depth: 0,
+    };
     p.program()
 }
+
+/// Deepest expression nesting the parser accepts. The parser, sema,
+/// lowering and the optimizer all recurse over expression trees; this
+/// bound keeps a hostile source from overflowing their stacks.
+const MAX_EXPR_NESTING: usize = 64;
 
 struct Parser<'t> {
     tokens: &'t [Token],
     at: usize,
+    /// Expression nesting levels open around the current token.
+    depth: usize,
+}
+
+/// Height of an expression tree (a leaf is 1).
+fn height(e: &Expr) -> usize {
+    1 + match e {
+        Expr::Int(..) | Expr::Var(..) => 0,
+        Expr::Index { index: a, .. }
+        | Expr::Unary { operand: a, .. }
+        | Expr::IncDec { target: a, .. } => height(a),
+        Expr::Binary { lhs: a, rhs: b, .. }
+        | Expr::Assign {
+            target: a,
+            value: b,
+            ..
+        } => height(a).max(height(b)),
+        Expr::Ternary {
+            cond,
+            then_val,
+            else_val,
+            ..
+        } => height(cond).max(height(then_val)).max(height(else_val)),
+        Expr::Call { args, .. } => args.iter().map(height).max().unwrap_or(0),
+    }
 }
 
 impl<'t> Parser<'t> {
@@ -362,6 +396,30 @@ impl<'t> Parser<'t> {
         self.assignment()
     }
 
+    fn too_deep(pos: Pos) -> CompileError {
+        CompileError::new(
+            pos,
+            format!("expression nested more than {MAX_EXPR_NESTING} levels deep"),
+        )
+    }
+
+    /// Parse a parenthesized expression, an operand, an argument or an
+    /// index one nesting level deeper, refusing to pass
+    /// [`MAX_EXPR_NESTING`]. Every recursive path through the expression
+    /// grammar goes through here.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Expr, CompileError>,
+    ) -> Result<Expr, CompileError> {
+        if self.depth == MAX_EXPR_NESTING {
+            return Err(Self::too_deep(self.pos()));
+        }
+        self.depth += 1;
+        let e = parse(self);
+        self.depth -= 1;
+        e
+    }
+
     fn assignment(&mut self) -> Result<Expr, CompileError> {
         let lhs = self.ternary()?;
         let op = match self.peek() {
@@ -374,7 +432,7 @@ impl<'t> Parser<'t> {
             _ => return Ok(lhs),
         };
         let pos = self.bump().pos;
-        let value = self.assignment()?; // right-associative
+        let value = self.nested(Self::assignment)?; // right-associative
         Ok(Expr::Assign {
             op,
             target: Box::new(lhs),
@@ -389,9 +447,9 @@ impl<'t> Parser<'t> {
             return Ok(cond);
         }
         let pos = self.bump().pos;
-        let then_val = self.expr()?;
+        let then_val = self.nested(Self::expr)?;
         self.expect(Tok::Colon)?;
-        let else_val = self.ternary()?;
+        let else_val = self.nested(Self::ternary)?;
         Ok(Expr::Ternary {
             cond: Box::new(cond),
             then_val: Box::new(then_val),
@@ -427,11 +485,22 @@ impl<'t> Parser<'t> {
             return self.unary();
         }
         let mut lhs = self.binary(level + 1)?;
+        // A left-associative chain deepens the tree without recursing,
+        // so its height is bounded directly.
+        let mut chain_height = None;
         'outer: loop {
             for (tok, op) in LEVELS[level] {
                 if self.peek() == tok {
                     let pos = self.bump().pos;
                     let rhs = self.binary(level + 1)?;
+                    let h = chain_height
+                        .unwrap_or_else(|| height(&lhs))
+                        .max(height(&rhs))
+                        + 1;
+                    if self.depth + h > MAX_EXPR_NESTING + 1 {
+                        return Err(Self::too_deep(pos));
+                    }
+                    chain_height = Some(h);
                     lhs = Expr::Binary {
                         op: *op,
                         lhs: Box::new(lhs),
@@ -449,7 +518,7 @@ impl<'t> Parser<'t> {
         if matches!(self.peek(), Tok::PlusPlus | Tok::MinusMinus) {
             let increment = *self.peek() == Tok::PlusPlus;
             let pos = self.bump().pos;
-            let target = self.unary()?;
+            let target = self.nested(Self::unary)?;
             return Ok(Expr::IncDec {
                 target: Box::new(target),
                 increment,
@@ -465,7 +534,7 @@ impl<'t> Parser<'t> {
         };
         if let Some(op) = op {
             let pos = self.bump().pos;
-            let operand = self.unary()?;
+            let operand = self.nested(Self::unary)?;
             // Fold `-literal` immediately so INT64_MIN-adjacent constants
             // and case-label-like expressions behave.
             if let (UnaryOp::Neg, Expr::Int(v, _)) = (op, &operand) {
@@ -499,7 +568,7 @@ impl<'t> Parser<'t> {
             }
             Tok::LParen => {
                 self.bump();
-                let e = self.expr()?;
+                let e = self.nested(Self::expr)?;
                 self.expect(Tok::RParen)?;
                 Ok(e)
             }
@@ -511,7 +580,7 @@ impl<'t> Parser<'t> {
                         let mut args = Vec::new();
                         if !self.eat(Tok::RParen) {
                             loop {
-                                args.push(self.expr()?);
+                                args.push(self.nested(Self::expr)?);
                                 if !self.eat(Tok::Comma) {
                                     break;
                                 }
@@ -526,7 +595,7 @@ impl<'t> Parser<'t> {
                     }
                     Tok::LBracket => {
                         self.bump();
-                        let index = self.expr()?;
+                        let index = self.nested(Self::expr)?;
                         self.expect(Tok::RBracket)?;
                         Ok(Expr::Index {
                             array: name,

@@ -17,10 +17,11 @@
 //! finish queued work, answer in-flight requests, join every thread.
 
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::endpoints::Endpoints;
@@ -120,7 +121,6 @@ impl Server {
         install_signal_handler();
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let metrics = Arc::new(Metrics::default());
         let mut endpoints = Endpoints::new(config.cache_dir.as_deref(), Arc::clone(&metrics))?;
         endpoints.debug_endpoints = config.debug_endpoints;
@@ -167,43 +167,27 @@ impl Server {
     /// Only fatal listener errors; per-connection errors are contained
     /// in their connection thread.
     pub fn wait(mut self) -> io::Result<()> {
-        let mut connections = Vec::new();
         let pool = self.pool.take().expect("pool present until wait");
         let pool = Arc::new(pool);
-        loop {
-            if self.shutdown.load(Ordering::SeqCst) || TERMINATED.load(Ordering::SeqCst) {
-                break;
-            }
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    let pool = Arc::clone(&pool);
-                    let metrics = Arc::clone(&self.metrics);
-                    let shutdown = Arc::clone(&self.shutdown);
-                    let deadline_ms = self.config.deadline_ms;
-                    connections.push(std::thread::spawn(move || {
-                        serve_frames(
-                            stream,
-                            || shutdown.load(Ordering::SeqCst) || terminated(),
-                            |refused| {
-                                metrics.errors.fetch_add(1, Ordering::Relaxed);
-                                if refused == code::OVERSIZED {
-                                    metrics.oversized.fetch_add(1, Ordering::Relaxed);
-                                }
-                            },
-                            |request| dispatch(request, &pool, &metrics, &shutdown, deadline_ms),
-                        );
-                    }));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(20));
-                    // Opportunistically reap finished connection threads
-                    // so a long-lived daemon does not accumulate handles.
-                    connections.retain(|c| !c.is_finished());
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
+        let connections = accept_until_shutdown(&self.listener, &self.shutdown, |stream| {
+            let pool = Arc::clone(&pool);
+            let metrics = Arc::clone(&self.metrics);
+            let shutdown = Arc::clone(&self.shutdown);
+            let deadline_ms = self.config.deadline_ms;
+            std::thread::spawn(move || {
+                serve_frames(
+                    stream,
+                    || shutdown.load(Ordering::SeqCst) || terminated(),
+                    |refused| {
+                        metrics.errors.fetch_add(1, Ordering::Relaxed);
+                        if refused == code::OVERSIZED {
+                            metrics.oversized.fetch_add(1, Ordering::Relaxed);
+                        }
+                    },
+                    |request| dispatch(request, &pool, &metrics, &shutdown, deadline_ms),
+                );
+            })
+        })?;
         // Drain: connection threads observe the flag via their read
         // timeout and exit after answering what they already read.
         self.shutdown.store(true, Ordering::SeqCst);
@@ -213,6 +197,75 @@ impl Server {
         pool.drain();
         Ok(())
     }
+}
+
+/// Poll period of the shutdown watcher in [`accept_until_shutdown`].
+const SHUTDOWN_POLL: Duration = Duration::from_millis(20);
+
+/// The accept loop of the daemon and the cluster router: block in
+/// `accept` on `listener` and hand each connection to `spawn`, until
+/// `shutdown` is set or the process is [`terminated`]. Returns the
+/// connection threads not yet reaped (finished ones are reaped after
+/// each accept), for the caller to drain.
+///
+/// A blocked `accept` cannot see a flag, so a small watcher thread
+/// polls both every 20 ms and, once either is set, wakes the loop with
+/// a loopback connect. Only the drain waits on that poll; a connection
+/// is accepted as soon as it arrives.
+///
+/// # Errors
+///
+/// Only fatal listener errors.
+pub fn accept_until_shutdown(
+    listener: &TcpListener,
+    shutdown: &Arc<AtomicBool>,
+    mut spawn: impl FnMut(TcpStream) -> JoinHandle<()>,
+) -> io::Result<Vec<JoinHandle<()>>> {
+    let stopping = {
+        let shutdown = Arc::clone(shutdown);
+        move || shutdown.load(Ordering::SeqCst) || terminated()
+    };
+    let mut wake = listener.local_addr()?;
+    if wake.ip().is_unspecified() {
+        wake.set_ip(match wake.ip() {
+            IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+            IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        });
+    }
+    let done = Arc::new(AtomicBool::new(false));
+    let watcher = {
+        let (done, stopping) = (Arc::clone(&done), stopping.clone());
+        std::thread::spawn(move || {
+            while !done.load(Ordering::SeqCst) {
+                if stopping() {
+                    let _ = TcpStream::connect_timeout(&wake, Duration::from_millis(200));
+                }
+                std::thread::sleep(SHUTDOWN_POLL);
+            }
+        })
+    };
+    let mut connections = Vec::new();
+    let result = loop {
+        if stopping() {
+            break Ok(connections);
+        }
+        match listener.accept() {
+            // The watcher's wake-up (or a client arriving as the drain
+            // starts): dropped unserved, as a closed listener would.
+            Ok(_) if stopping() => {}
+            Ok((stream, _)) => {
+                connections.push(spawn(stream));
+                // Reap finished connection threads so a long-lived
+                // daemon does not accumulate handles.
+                connections.retain(|c| !c.is_finished());
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => break Err(e),
+        }
+    };
+    done.store(true, Ordering::SeqCst);
+    let _ = watcher.join();
+    result
 }
 
 /// A [`std::io::Read`] wrapper that separates *idle at a frame boundary* from

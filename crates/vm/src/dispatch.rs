@@ -24,20 +24,34 @@
 //! so one image can serve many runs over different inputs — exactly the
 //! shape of a training or measurement loop.
 //!
-//! Equivalence with the classic interpreter ([`crate::run_reference`],
-//! which still backs [`crate::run_hooked`]) is part of the contract:
-//! identical [`crate::RunOutcome`]s — exit value, output bytes, statistic
-//! counters, profile counters, predictor results, and trace — and
-//! identical [`Trap`]s. Batching a block's static body costs at block
-//! entry rather than per instruction is observable only through a
-//! [`RunOutcome`], and a trap discards the outcome entirely, so the
-//! reordering cannot be distinguished. The root-level `vm_equivalence`
-//! test pins this across every workload × heuristic set, and
-//! `crates/bench/benches/dispatch.rs` tracks the speedup.
+//! [`run_hooked`] runs on the same loop. Its epoch test is folded into
+//! the per-block step-limit compare (the limit is the smaller of the
+//! step budget and the step at which the next epoch is due; plain runs
+//! set the latter to `u64::MAX`), so a run without epochs does no extra
+//! per-block work. Past the limit, `main` pauses at a profiled sequence
+//! head at call depth 1, before the head executes, and returns its
+//! block, registers and condition codes; it resumes on the same frame,
+//! unzeroed. When the hook mutates the module, the counters so far are
+//! folded at the old image's costs ([`fold_stats`] runs at every
+//! mutating epoch, not only at the end) and the whole module is decoded
+//! afresh; predictor state and profiles carry over.
+//!
+//! Equivalence with the classic interpreter ([`crate::run_reference`]
+//! and, for epochs and swaps, [`crate::run_reference_hooked`]) is part
+//! of the contract: identical [`crate::RunOutcome`]s — exit value,
+//! output bytes, statistic counters, profile counters, predictor
+//! results, trace and block counts — and identical [`Trap`]s. Batching
+//! a block's static body costs at block entry rather than per
+//! instruction is observable only through a [`RunOutcome`], and a trap
+//! discards the outcome entirely, so the reordering cannot be
+//! distinguished. The root-level `vm_equivalence` test pins this across
+//! every workload × heuristic set, with and without a hook that swaps
+//! replicas mid-run, and `crates/bench/benches/dispatch.rs` tracks the
+//! speedup.
 
 use br_ir::{BinOp, Callee, Cond, Inst, Intrinsic, Module, Operand, PlanKind, Terminator, UnOp};
 
-use crate::machine::{intrinsic_step, RunOutcome, VmOptions};
+use crate::machine::{intrinsic_step, EpochHook, RunOutcome, VmOptions};
 use crate::memory::Memory;
 use crate::predictor::Predictor;
 use crate::stats::ExecStats;
@@ -294,6 +308,9 @@ pub struct Image {
     counter_counts: Vec<usize>,
     /// Total frequency-counter slots across all functions (two per block).
     count_slots: usize,
+    /// `(func, head)` of every profile plan: the blocks where an epoch
+    /// may pause [`run_hooked`] (at call depth 1, before the head runs).
+    heads: Vec<(usize, usize)>,
 }
 
 impl Image {
@@ -559,7 +576,16 @@ impl Image {
                 .map(|p| p.counter_count())
                 .collect(),
             count_slots,
+            heads: module
+                .profile_plans
+                .iter()
+                .map(|p| (p.func.index(), p.head.index()))
+                .collect(),
         }
+    }
+
+    fn is_epoch_safe(&self, func: usize, block: usize) -> bool {
+        self.heads.contains(&(func, block))
     }
 }
 
@@ -586,8 +612,57 @@ struct FastState<'a> {
     /// function's `counts_base`; folded into [`ExecStats`] on success.
     counts: Vec<u64>,
     steps: u64,
+    /// Step count at which the next epoch is due (`u64::MAX` = never).
+    next_epoch: u64,
+    /// Set when `main` paused for an epoch instead of returning.
+    paused: Option<Pause>,
     depth: usize,
     trace: Vec<String>,
+}
+
+/// `main`'s live state at an epoch pause: the block it runs next (not
+/// yet executed), its registers and its condition codes.
+struct Pause {
+    at: usize,
+    regs: Vec<i64>,
+    cc: Option<(i64, i64)>,
+}
+
+impl<'a> FastState<'a> {
+    fn new(image: &Image, input: &'a [u8], opts: &'a VmOptions) -> FastState<'a> {
+        FastState {
+            opts,
+            memory: Memory::new(
+                image.globals_end,
+                opts.stack_words,
+                image.globals.iter().map(|(at, init)| (*at, &init[..])),
+            ),
+            frame_top: image.globals_end,
+            input,
+            input_pos: 0,
+            output: Vec::new(),
+            profiles: image.counter_counts.iter().map(|&n| vec![0; n]).collect(),
+            predictors: opts.predictors.iter().map(|&c| Predictor::new(c)).collect(),
+            counts: vec![0; image.count_slots],
+            steps: 0,
+            next_epoch: u64::MAX,
+            paused: None,
+            depth: 0,
+            trace: Vec::new(),
+        }
+    }
+
+    fn finish(self, exit: i64, totals: Totals) -> RunOutcome {
+        RunOutcome {
+            exit,
+            output: self.output,
+            stats: totals.stats,
+            profiles: self.profiles,
+            predictor_results: self.predictors.iter().map(Predictor::result).collect(),
+            trace: self.trace,
+            block_counts: totals.block_counts,
+        }
+    }
 }
 
 /// Execute a pre-decoded [`Image`] on `input`.
@@ -603,56 +678,99 @@ struct FastState<'a> {
 /// does.
 pub fn run_image(image: &Image, input: &[u8], opts: &VmOptions) -> Result<RunOutcome, Trap> {
     let main = image.main.ok_or(Trap::NoMain)?;
-    let mut st = FastState {
-        opts,
-        memory: Memory::new(
-            image.globals_end,
-            opts.stack_words,
-            image.globals.iter().map(|(at, init)| (*at, &init[..])),
-        ),
-        frame_top: image.globals_end,
-        input,
-        input_pos: 0,
-        output: Vec::new(),
-        profiles: image.counter_counts.iter().map(|&n| vec![0; n]).collect(),
-        predictors: opts.predictors.iter().map(|&c| Predictor::new(c)).collect(),
-        counts: vec![0; image.count_slots],
-        steps: 0,
-        depth: 0,
-        trace: Vec::new(),
+    let mut st = FastState::new(image, input, opts);
+    let exit = exec(&mut st, image, main, &[], None)?;
+    let mut totals = Totals::default();
+    totals.fold(image, &st.counts, opts);
+    Ok(st.finish(exit, totals))
+}
+
+/// Execute the module's `main` like [`crate::run`], pausing every
+/// [`VmOptions::epoch_blocks`] executed blocks to let `hook` observe the
+/// live profile counters and mutate the module (e.g. hot-swap a sequence
+/// ordering).
+///
+/// Pauses happen only at *safe points*: a profiled sequence head reached
+/// at call depth 1, checked before the head executes. A program that
+/// never revisits a head at depth 1 simply never pauses. The run
+/// executes on the pre-decoded [`Image`] like [`run_image`]; when the
+/// hook reports a mutation, the counters so far are folded at the old
+/// image's costs and the module is decoded afresh, so fall-through,
+/// delay-slot and predictor-address accounting stay faithful to the
+/// swapped code. The outcome equals the classic interpreter's
+/// ([`crate::run_reference_hooked`]) field for field.
+///
+/// # Errors
+///
+/// Returns a [`Trap`] exactly as [`crate::run`] does.
+pub fn run_hooked(
+    module: &mut Module,
+    input: &[u8],
+    opts: &VmOptions,
+    hook: &mut dyn EpochHook,
+) -> Result<RunOutcome, Trap> {
+    let mut image = Image::decode(module);
+    let main = image.main.ok_or(Trap::NoMain)?;
+    let mut st = FastState::new(&image, input, opts);
+    if opts.epoch_blocks > 0 {
+        st.next_epoch = opts.epoch_blocks;
+    }
+    let mut totals = Totals::default();
+    let mut resume = None;
+    let exit = loop {
+        let exit = exec(&mut st, &image, main, &[], resume.take())?;
+        let Some(pause) = st.paused.take() else {
+            break exit;
+        };
+        if hook.on_epoch(module, &mut st.profiles) {
+            // A swap rewrites a head's terminator in place: charge what
+            // ran so far at the old image's costs before re-decoding.
+            totals.fold(&image, &st.counts, opts);
+            image = Image::decode(module);
+            st.counts = vec![0; image.count_slots];
+        }
+        st.next_epoch = st.steps.saturating_add(opts.epoch_blocks.max(1));
+        resume = Some(pause);
     };
-    let exit = exec(&mut st, image, main, &[])?;
-    // The hot loop's flat frequency array, regrouped per function/block:
-    // the same `[executions, taken]` pairs the reference interpreter
-    // accumulates directly.
-    let block_counts = image
-        .functions
-        .iter()
-        .map(|f| {
+    totals.fold(&image, &st.counts, opts);
+    Ok(st.finish(exit, totals))
+}
+
+/// A run's statistics and per-block `[executions, taken]` frequencies,
+/// accumulated from the hot loop's flat counters by [`Totals::fold`].
+#[derive(Default)]
+struct Totals {
+    stats: ExecStats,
+    block_counts: Vec<Vec<[u64; 2]>>,
+}
+
+impl Totals {
+    /// Add `counts`, the flat counters of a run (or of a stretch of one
+    /// between module mutations) on `image`: regrouped per
+    /// function/block — the same pairs the reference interpreter
+    /// accumulates directly — and folded into [`ExecStats`].
+    fn fold(&mut self, image: &Image, counts: &[u64], opts: &VmOptions) {
+        self.block_counts
+            .resize_with(image.functions.len(), Vec::new);
+        for (f, acc) in image.functions.iter().zip(&mut self.block_counts) {
             let base = f.counts_base as usize;
-            (0..f.blocks.len())
-                .map(|bi| [st.counts[base + 2 * bi], st.counts[base + 2 * bi + 1]])
-                .collect()
-        })
-        .collect();
-    Ok(RunOutcome {
-        exit,
-        output: st.output,
-        stats: fold_stats(image, &st.counts, opts),
-        profiles: st.profiles,
-        predictor_results: st.predictors.iter().map(Predictor::result).collect(),
-        trace: st.trace,
-        block_counts,
-    })
+            acc.resize(f.blocks.len(), [0; 2]);
+            for (bi, pair) in acc.iter_mut().enumerate() {
+                pair[0] += counts[base + 2 * bi];
+                pair[1] += counts[base + 2 * bi + 1];
+            }
+        }
+        fold_stats(image, counts, opts, &mut self.stats);
+    }
 }
 
 /// Reconstruct the architectural event counts from block and taken-edge
 /// frequencies. Every [`ExecStats`] field is an exact linear function of
 /// (a) how often each block ran and (b) how often each branch was taken,
 /// so the hot loop records only those two frequencies and this fold pays
-/// the bookkeeping once per run instead of once per instruction.
-fn fold_stats(image: &Image, counts: &[u64], opts: &VmOptions) -> ExecStats {
-    let mut s = ExecStats::new();
+/// the bookkeeping once per run (and once per mutating epoch) instead of
+/// once per instruction.
+fn fold_stats(image: &Image, counts: &[u64], opts: &VmOptions, s: &mut ExecStats) {
     for f in &image.functions {
         let base = f.counts_base as usize;
         for (bi, b) in f.blocks.iter().enumerate() {
@@ -700,17 +818,27 @@ fn fold_stats(image: &Image, counts: &[u64], opts: &VmOptions) -> ExecStats {
             }
         }
     }
-    s
 }
 
-fn exec(st: &mut FastState<'_>, image: &Image, func: usize, args: &[i64]) -> Result<i64, Trap> {
+/// Run one activation of `func`. With `resume`, it is `main`
+/// continuing after an epoch pause: its frame keeps its contents and
+/// its registers come back (a swap may have grown the register file;
+/// new registers start at zero). An activation that pauses returns
+/// `Ok(0)` with [`FastState::paused`] set.
+fn exec(
+    st: &mut FastState<'_>,
+    image: &Image,
+    func: usize,
+    args: &[i64],
+    resume: Option<Pause>,
+) -> Result<i64, Trap> {
     if st.depth >= st.opts.max_call_depth {
         return Err(Trap::StackOverflow { depth: st.depth });
     }
     st.depth += 1;
     let f = &image.functions[func];
     let frame_base = st.frame_top;
-    st.memory.frame(frame_base, f.frame_size, st.depth)?.fill(0);
+    let frame = st.memory.frame(frame_base, f.frame_size, st.depth)?;
     st.frame_top += f.frame_size as i64;
     let mut reg_buf = [0i64; REG_BUF];
     let mut reg_heap: Vec<i64>;
@@ -720,10 +848,23 @@ fn exec(st: &mut FastState<'_>, image: &Image, func: usize, args: &[i64]) -> Res
         reg_heap = vec![0i64; f.num_regs as usize];
         &mut reg_heap
     };
-    for (&reg, &val) in f.param_regs.iter().zip(args) {
-        regs[reg as usize] = val;
-    }
-    let max_steps = st.opts.max_steps;
+    let (mut cur, mut cc) = match resume {
+        Some(p) => {
+            for (reg, val) in regs.iter_mut().zip(p.regs) {
+                *reg = val;
+            }
+            (p.at, p.cc)
+        }
+        None => {
+            frame.fill(0);
+            for (&reg, &val) in f.param_regs.iter().zip(args) {
+                regs[reg as usize] = val;
+            }
+            (f.entry as usize, None)
+        }
+    };
+    // One compare per block guards both the step budget and a due epoch.
+    let limit = st.opts.max_steps.min(st.next_epoch);
     let trace_blocks = st.opts.trace_blocks;
     let tracing = trace_blocks > 0;
     let has_predictors = !st.predictors.is_empty();
@@ -731,12 +872,17 @@ fn exec(st: &mut FastState<'_>, image: &Image, func: usize, args: &[i64]) -> Res
     // with the shared state around calls so the per-block limit check
     // stays exact (same trap at the same block as the reference path).
     let mut steps = st.steps;
-    let mut cur = f.entry as usize;
-    let mut cc: Option<(i64, i64)> = None;
     let result = 'run: loop {
         steps += 1;
-        if steps > max_steps {
-            break 'run Err(Trap::StepLimitExceeded { limit: max_steps });
+        if steps > limit {
+            match past_limit(st, image, func, cur, steps, regs, cc) {
+                Ok(false) => {}
+                Ok(true) => {
+                    steps -= 1;
+                    break 'run Ok(0);
+                }
+                Err(t) => break 'run Err(t),
+            }
         }
         if tracing && st.trace.len() < trace_blocks {
             st.trace.push(format!("f{func}:b{cur}"));
@@ -830,7 +976,7 @@ fn exec(st: &mut FastState<'_>, image: &Image, func: usize, args: &[i64]) -> Res
                         &heap
                     };
                     st.steps = steps;
-                    let called = exec(st, image, *func as usize, vals);
+                    let called = exec(st, image, *func as usize, vals, None);
                     steps = st.steps;
                     match called {
                         Ok(v) => {
@@ -995,6 +1141,39 @@ fn exec(st: &mut FastState<'_>, image: &Image, func: usize, args: &[i64]) -> Res
     st.frame_top = frame_base;
     st.depth -= 1;
     result
+}
+
+/// The block about to run at `cur` took `steps` past the limit: the
+/// step budget or a due epoch. Pauses `main` (`Ok(true)`, with
+/// [`FastState::paused`] set) when an epoch is due and this is a safe
+/// point — a profiled sequence head at call depth 1, before the head
+/// executes, so resuming never double-counts a step, probe or stat.
+/// Out of line: plain runs only ever get here to trap.
+#[cold]
+#[inline(never)]
+fn past_limit(
+    st: &mut FastState<'_>,
+    image: &Image,
+    func: usize,
+    cur: usize,
+    steps: u64,
+    regs: &[i64],
+    cc: Option<(i64, i64)>,
+) -> Result<bool, Trap> {
+    if steps > st.next_epoch && st.depth == 1 && image.is_epoch_safe(func, cur) {
+        st.paused = Some(Pause {
+            at: cur,
+            regs: regs.to_vec(),
+            cc,
+        });
+        return Ok(true);
+    }
+    if steps > st.opts.max_steps {
+        return Err(Trap::StepLimitExceeded {
+            limit: st.opts.max_steps,
+        });
+    }
+    Ok(false)
 }
 
 #[cfg(test)]

@@ -8,8 +8,10 @@
 //!   branches, unconditional jumps, indirect jumps, compares, and more.
 //!   It dispatches through a pre-decoded fast path; decode once with
 //!   [`Image::decode`] and call [`run_image`] to amortize decoding across
-//!   many runs of the same module. [`run_reference`] is the classic
-//!   tree-walking interpreter kept as the equivalence oracle.
+//!   many runs of the same module. [`run_hooked`] runs on the same
+//!   engine, pausing at epochs so a hook can hot-swap code mid-run.
+//!   [`run_reference`] is the classic tree-walking interpreter, kept only
+//!   as the equivalence oracle.
 //! * **Fall-through modelling.** Block storage order *is* code layout. A
 //!   `Jump` to the next block costs nothing; a conditional branch whose
 //!   not-taken successor is not adjacent pays an extra unconditional jump,
@@ -50,8 +52,8 @@ pub mod timing;
 mod trap;
 
 pub use counters::{counters_match_stats, function_counters, FunctionCounters};
-pub use dispatch::{run_image, Image};
-pub use machine::{run, run_hooked, run_reference, EpochHook, RunOutcome, VmOptions};
+pub use dispatch::{run_hooked, run_image, Image};
+pub use machine::{run, run_reference, run_reference_hooked, EpochHook, RunOutcome, VmOptions};
 pub use predictor::{PredictorConfig, PredictorResult, Scheme};
 pub use stats::{pct_change, ExecStats};
 pub use timing::TimeModel;

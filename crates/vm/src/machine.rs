@@ -31,7 +31,7 @@ pub struct VmOptions {
     /// Capture the first N executed basic blocks as trace lines
     /// (`f0:b3`) in [`RunOutcome::trace`]. 0 disables tracing.
     pub trace_blocks: usize,
-    /// Epoch length in executed blocks for [`run_hooked`]: once at least
+    /// Epoch length in executed blocks for [`crate::run_hooked`]: once at least
     /// this many blocks have run since the last epoch, execution pauses
     /// at the next safe point (a profiled sequence head at call depth 1)
     /// and the hook runs. 0 disables epochs; plain [`run`] ignores this.
@@ -52,7 +52,7 @@ impl Default for VmOptions {
     }
 }
 
-/// A callback driven by [`run_hooked`] at epoch boundaries.
+/// A callback driven by [`crate::run_hooked`] at epoch boundaries.
 ///
 /// The hook gets exclusive access to the module — the program is paused
 /// at a sequence head, so replacing a sequence's ordering (rewriting the
@@ -61,8 +61,8 @@ impl Default for VmOptions {
 /// cumulative counters of the current run.
 pub trait EpochHook {
     /// Called at each epoch boundary. Return `true` if the module was
-    /// mutated; the interpreter then recomputes its layout caches
-    /// (branch addresses, delay-slot fillability) before resuming.
+    /// mutated; the interpreter then re-decodes it (branch addresses,
+    /// fall-through and delay-slot facts) before resuming.
     fn on_epoch(&mut self, module: &mut Module, profiles: &mut [Vec<u64>]) -> bool;
 }
 
@@ -206,11 +206,11 @@ fn plan_heads(module: &Module) -> Vec<(usize, br_ir::BlockId)> {
 ///
 /// Dispatches through the pre-decoded fast path (see [`crate::Image`]):
 /// the module is decoded once into a dense instruction stream and then
-/// interpreted. The classic tree-walking interpreter is still available
-/// as [`run_reference`] and remains the engine behind [`run_hooked`];
-/// both paths produce identical outcomes (pinned by the root-level
-/// `vm_equivalence` test). Callers that execute one module many times
-/// should decode once with [`crate::Image::decode`] and call
+/// interpreted, the same engine behind [`crate::run_hooked`]. The
+/// classic tree-walking interpreter survives only as the oracle
+/// [`run_reference`]; both produce identical outcomes (pinned by the
+/// root-level `vm_equivalence` test). Callers that execute one module
+/// many times should decode once with [`crate::Image::decode`] and call
 /// [`crate::run_image`] directly to amortize the decode.
 ///
 /// # Errors
@@ -225,10 +225,9 @@ pub fn run(module: &Module, input: &[u8], opts: &VmOptions) -> Result<RunOutcome
 /// Execute the module's `main` with the classic tree-walking interpreter.
 ///
 /// This is the original dispatch loop that re-reads the [`Module`]
-/// structure on every step. It is kept as the independent oracle for the
-/// fast path's equivalence test and as the baseline of the dispatch
-/// benchmark; [`run_hooked`] also builds on it because epoch pauses need
-/// the resumable frame machinery. Use [`run`] everywhere else.
+/// structure on every step. It is kept only as the independent oracle
+/// for the fast path's equivalence tests, the fuzz cross-check and the
+/// baseline of the dispatch benchmark. Use [`run`] everywhere else.
 ///
 /// # Errors
 ///
@@ -243,22 +242,16 @@ pub fn run_reference(module: &Module, input: &[u8], opts: &VmOptions) -> Result<
     }
 }
 
-/// Execute the module's `main` like [`run`], pausing every
-/// [`VmOptions::epoch_blocks`] executed blocks to let `hook` observe the
-/// live profile counters and mutate the module (e.g. hot-swap a sequence
-/// ordering).
-///
-/// Pauses happen only at *safe points*: a profiled sequence head reached
-/// at call depth 1, checked before the head executes. A program that
-/// never revisits a head at depth 1 simply never pauses. When the hook
-/// reports a mutation, the interpreter recomputes its layout caches, so
-/// fall-through and predictor-address accounting stay faithful to the
-/// swapped code.
+/// [`crate::run_hooked`] on the classic tree-walking interpreter: the
+/// oracle for the fast engine's epoch pauses and hot swaps, used only by
+/// the equivalence tests and the fuzz cross-check. It pauses at the same
+/// safe points and, after a mutation, recomputes its layout caches.
 ///
 /// # Errors
 ///
 /// Returns a [`Trap`] exactly as [`run`] does.
-pub fn run_hooked(
+#[doc(hidden)]
+pub fn run_reference_hooked(
     module: &mut Module,
     input: &[u8],
     opts: &VmOptions,
@@ -1024,6 +1017,12 @@ mod epoch_tests {
         m
     }
 
+    type Hooked =
+        fn(&mut Module, &[u8], &VmOptions, &mut dyn EpochHook) -> Result<RunOutcome, Trap>;
+
+    /// Both epoch engines: the fast one and the classic oracle.
+    const ENGINES: [Hooked; 2] = [crate::run_hooked, run_reference_hooked];
+
     struct Counting {
         calls: u64,
         last_count: u64,
@@ -1043,36 +1042,39 @@ mod epoch_tests {
     fn noop_hook_matches_plain_run_exactly() {
         let m = probed_loop(200);
         let plain = run(&m, b"", &VmOptions::default()).unwrap();
-        let mut hooked_m = m.clone();
         let opts = VmOptions {
             epoch_blocks: 16,
             ..VmOptions::default()
         };
-        let mut hook = Counting {
-            calls: 0,
-            last_count: 0,
-        };
-        let hooked = run_hooked(&mut hooked_m, b"", &opts, &mut hook).unwrap();
-        assert!(
-            hook.calls > 3,
-            "expected several epochs, got {}",
-            hook.calls
-        );
-        assert_eq!(hooked.exit, plain.exit);
-        assert_eq!(hooked.output, plain.output);
-        assert_eq!(hooked.stats, plain.stats, "pausing must be free");
-        assert_eq!(hooked.profiles, plain.profiles);
+        for engine in ENGINES {
+            let mut hook = Counting {
+                calls: 0,
+                last_count: 0,
+            };
+            let hooked = engine(&mut m.clone(), b"", &opts, &mut hook).unwrap();
+            assert!(
+                hook.calls > 3,
+                "expected several epochs, got {}",
+                hook.calls
+            );
+            assert_eq!(hooked.exit, plain.exit);
+            assert_eq!(hooked.output, plain.output);
+            assert_eq!(hooked.stats, plain.stats, "pausing must be free");
+            assert_eq!(hooked.profiles, plain.profiles);
+            assert_eq!(hooked.block_counts, plain.block_counts);
+        }
     }
 
     #[test]
     fn epochs_disabled_means_no_pauses() {
-        let mut m = probed_loop(100);
-        let mut hook = Counting {
-            calls: 0,
-            last_count: 0,
-        };
-        run_hooked(&mut m, b"", &VmOptions::default(), &mut hook).unwrap();
-        assert_eq!(hook.calls, 0);
+        for engine in ENGINES {
+            let mut hook = Counting {
+                calls: 0,
+                last_count: 0,
+            };
+            engine(&mut probed_loop(100), b"", &VmOptions::default(), &mut hook).unwrap();
+            assert_eq!(hook.calls, 0);
+        }
     }
 
     /// Swaps the putchar'd byte at the first epoch: the mutation must be
@@ -1099,20 +1101,29 @@ mod epoch_tests {
 
     #[test]
     fn mid_run_mutation_takes_effect_and_resumes_cleanly() {
-        let mut m = probed_loop(100);
         let opts = VmOptions {
             epoch_blocks: 64,
             ..VmOptions::default()
         };
-        let mut hook = Swapper { swapped: false };
-        let out = run_hooked(&mut m, b"", &opts, &mut hook).unwrap();
-        assert!(hook.swapped);
-        assert_eq!(out.exit, 100, "loop counter survived the pause");
-        assert_eq!(out.output.len(), 100);
-        let a = out.output.iter().filter(|&&c| c == b'A').count();
-        let b = out.output.iter().filter(|&&c| c == b'B').count();
-        assert!(a > 0 && b > 0, "swap must land mid-run: {a} As, {b} Bs");
-        assert_eq!(out.profiles[0][0], 101, "probes keep counting after a swap");
+        let mut outs = Vec::new();
+        for engine in ENGINES {
+            let mut hook = Swapper { swapped: false };
+            let out = engine(&mut probed_loop(100), b"", &opts, &mut hook).unwrap();
+            assert!(hook.swapped);
+            assert_eq!(out.exit, 100, "loop counter survived the pause");
+            assert_eq!(out.output.len(), 100);
+            let a = out.output.iter().filter(|&&c| c == b'A').count();
+            let b = out.output.iter().filter(|&&c| c == b'B').count();
+            assert!(a > 0 && b > 0, "swap must land mid-run: {a} As, {b} Bs");
+            assert_eq!(out.profiles[0][0], 101, "probes keep counting after a swap");
+            outs.push(out);
+        }
+        assert_eq!(
+            outs[0].output, outs[1].output,
+            "both engines swap at the same step"
+        );
+        assert_eq!(outs[0].stats, outs[1].stats);
+        assert_eq!(outs[0].block_counts, outs[1].block_counts);
     }
 }
 

@@ -9,13 +9,22 @@
 //! The memory model is pinned the same way: memory grows on demand up to
 //! `globals_end + stack_words` words, and every engine must read zeros,
 //! trap, and overflow at exactly the same points.
+//!
+//! Epoch pauses and hot swaps are pinned too: `run_hooked` (the fast
+//! engine) and `run_reference_hooked` (the tree-walker) must pause at
+//! the same safe points and, under a hook that swaps sequence replicas
+//! mid-run, still agree on every field of the outcome.
 
-use branch_reorder::ir::Module;
+use branch_reorder::ir::{FuncId, Module};
 use branch_reorder::minic::{compile, HeuristicSet, Options};
-use branch_reorder::reorder::{reorder_module, ReorderOptions};
+use branch_reorder::reorder::profile::plan_ranges;
+use branch_reorder::reorder::{
+    commit, decide, detect_all, instrument_module, reorder_module, Decision, DetectedSequence,
+    Proof, ReorderOptions, SequenceCertificate, SequenceProfile,
+};
 use branch_reorder::vm::{
-    run, run_hooked, run_image, run_reference, EpochHook, Image, PredictorConfig, RunOutcome,
-    Scheme, Trap, VmOptions,
+    run, run_hooked, run_image, run_reference, run_reference_hooked, EpochHook, Image,
+    PredictorConfig, RunOutcome, Scheme, Trap, VmOptions,
 };
 
 /// Assert complete outcome equality, field by field, so a mismatch names
@@ -33,24 +42,32 @@ fn assert_same(fast: &RunOutcome, slow: &RunOutcome, what: &str) {
     assert_eq!(fast.block_counts, slow.block_counts, "{what}: block counts");
 }
 
-/// An epoch hook that never mutates the module.
-struct Idle;
+/// An epoch hook that never mutates the module; it counts its epochs.
+#[derive(Default)]
+struct Idle(usize);
 
 impl EpochHook for Idle {
     fn on_epoch(&mut self, _: &mut Module, _: &mut [Vec<u64>]) -> bool {
+        self.0 += 1;
         false
     }
 }
 
 /// Run `m` through every engine — the fast path, a reused image, the
-/// reference interpreter, and the hookable interpreter — assert that all
-/// four agree on the outcome or on the trap, and return the result.
+/// reference interpreter, and both hookable engines — assert that all
+/// five agree on the outcome or on the trap, and return the result.
 fn engines_agree(m: &Module, input: &[u8], vm: &VmOptions, what: &str) -> Result<RunOutcome, Trap> {
     let slow = run_reference(m, input, vm);
     let fast = run(m, input, vm);
     let image = run_image(&Image::decode(m), input, vm);
-    let hooked = run_hooked(&mut m.clone(), input, vm, &mut Idle);
-    for (other, engine) in [(&fast, "fast"), (&image, "image"), (&hooked, "hooked")] {
+    let hooked = run_hooked(&mut m.clone(), input, vm, &mut Idle::default());
+    let hooked_reference = run_reference_hooked(&mut m.clone(), input, vm, &mut Idle::default());
+    for (other, engine) in [
+        (&fast, "fast"),
+        (&image, "image"),
+        (&hooked, "hooked"),
+        (&hooked_reference, "hooked reference"),
+    ] {
         let what = format!("{what}/{engine}");
         match (other, &slow) {
             (Ok(o), Ok(s)) => assert_same(o, s, &what),
@@ -72,14 +89,9 @@ fn fast_path_matches_reference_on_all_workloads_and_sets() {
     workload_matrix(VmOptions::default().stack_words);
 }
 
-/// The matrix again with a stack no larger than the memory allocated up
-/// front, so no run ever grows its memory.
-#[test]
-fn engines_agree_on_all_workloads_with_a_small_stack() {
-    workload_matrix(1 << 12);
-}
-
-fn workload_matrix(stack_words: usize) {
+/// The VM options of the equivalence matrices: three predictors and a
+/// block trace, so every outcome field carries information.
+fn matrix_vm(stack_words: usize) -> VmOptions {
     let mut predictors = vec![PredictorConfig::ultra_sparc()];
     predictors.extend([
         PredictorConfig {
@@ -91,12 +103,179 @@ fn workload_matrix(stack_words: usize) {
             entries: 256,
         },
     ]);
-    let vm = VmOptions {
+    VmOptions {
         predictors,
         trace_blocks: 64,
         stack_words,
         ..VmOptions::default()
+    }
+}
+
+/// Epochs at which [`Alternating`] swaps; later epochs idle.
+const SWAP_EPOCHS: usize = 6;
+
+/// One sequence under [`Alternating`]: two precomputed decisions and the
+/// certificate of each, once its first deployment has been proven.
+struct Alternate {
+    func: FuncId,
+    seq: DetectedSequence,
+    decisions: [Decision; 2],
+    certs: [Option<SequenceCertificate>; 2],
+}
+
+/// A deterministic swapping hook: at each of its first [`SWAP_EPOCHS`]
+/// epochs it deploys, on every sequence, the next of two precomputed
+/// `decide` results through `commit` — certifying the first deployment
+/// of each against the pristine module, re-checking its certificate
+/// after that — then idles.
+struct Alternating {
+    pristine: Module,
+    seqs: Vec<Alternate>,
+    epochs: usize,
+    swaps: usize,
+}
+
+impl Alternating {
+    /// Decisions for every sequence of the instrumented `pristine`: one
+    /// under a profile that favours the first ranges, one under its
+    /// mirror image, so the two orderings differ.
+    fn new(pristine: &Module, detections: Vec<(FuncId, DetectedSequence)>, opt_tree: bool) -> Self {
+        let seqs = detections
+            .into_iter()
+            .filter_map(|(func, seq)| {
+                let n = plan_ranges(&seq).len() as u64;
+                let decision = |counts: Vec<u64>| {
+                    decide(func, &seq, &SequenceProfile { counts }, false, opt_tree)
+                };
+                let first = decision((1..=n).rev().collect())?;
+                let second = decision((1..=n).collect())?;
+                Some(Alternate {
+                    func,
+                    seq,
+                    decisions: [first, second],
+                    certs: [None, None],
+                })
+            })
+            .collect();
+        Alternating {
+            pristine: pristine.clone(),
+            seqs,
+            epochs: 0,
+            swaps: 0,
+        }
+    }
+}
+
+impl EpochHook for Alternating {
+    fn on_epoch(&mut self, module: &mut Module, _: &mut [Vec<u64>]) -> bool {
+        if self.epochs == SWAP_EPOCHS {
+            return false;
+        }
+        let k = self.epochs % 2;
+        self.epochs += 1;
+        let mut mutated = false;
+        for s in &mut self.seqs {
+            let proof = s.certs[k].as_ref().map_or(Proof::Certify, Proof::Recheck);
+            let committed = commit(
+                module.function_mut(s.func),
+                Some(self.pristine.function(s.func)),
+                &s.seq,
+                &s.decisions[k],
+                proof,
+                branch_reorder::layout::reposition_tail,
+            );
+            // A refused decision leaves the function as it was; both
+            // engines' hooks see the same refusal.
+            if let Ok(c) = committed {
+                s.certs[k] = s.certs[k].take().or(c.certificate);
+                self.swaps += 1;
+                mutated = true;
+            }
+        }
+        mutated
+    }
+}
+
+/// Hot swaps mid-run, on the fast engine and on the tree-walker: every
+/// workload under every heuristic set, instrumented as the adaptive
+/// runtime deploys it, with a hook that swaps replicas at its first
+/// epochs. The stats a swapping run folds at the old image's costs,
+/// the cumulative block counts and the predictor state carried across
+/// swaps must all equal the oracle's.
+#[test]
+fn hooked_engines_agree_under_swapping_hooks() {
+    let vm = VmOptions {
+        epoch_blocks: 50,
+        ..matrix_vm(VmOptions::default().stack_words)
     };
+    let (mut swapping_runs, mut swaps) = (0, 0);
+
+    for w in branch_reorder::workloads::all() {
+        let test = w.test_input(2048);
+        for h in HeuristicSet::ALL {
+            let what = format!("{}/{}", w.name, h.name);
+            let mut module =
+                compile(w.source, &Options::with_heuristics(h)).expect("workload compiles");
+            branch_reorder::opt::optimize(&mut module);
+            let detections = detect_all(&module);
+            instrument_module(&mut module, &detections);
+            let mut runs = Vec::new();
+            for engine in [run_hooked, run_reference_hooked] {
+                let mut hook = Alternating::new(&module, detections.clone(), h.opt_tree);
+                let mut m = module.clone();
+                let out = engine(&mut m, &test, &vm, &mut hook)
+                    .unwrap_or_else(|e| panic!("{what}: trapped: {e}"));
+                runs.push((out, m, hook.epochs, hook.swaps));
+            }
+            let (fast, fast_module, fast_epochs, fast_swaps) = &runs[0];
+            let (slow, slow_module, slow_epochs, slow_swaps) = &runs[1];
+            assert_same(fast, slow, &format!("{what}/swapping"));
+            assert_eq!(
+                (fast_epochs, fast_swaps),
+                (slow_epochs, slow_swaps),
+                "{what}: epochs and swaps"
+            );
+            assert!(fast_module == slow_module, "{what}: swapped modules differ");
+            // Pausing without a swap is free, on both engines, and the
+            // layout counters still sum to the stats. (After a swap they
+            // cannot: they are read off the final code, whose heads no
+            // longer end in the branches that earlier executions took.)
+            let (mut paused, mut paused_reference) = (Idle::default(), Idle::default());
+            let idle = run_hooked(&mut module.clone(), &test, &vm, &mut paused).expect("runs");
+            let idle_reference =
+                run_reference_hooked(&mut module.clone(), &test, &vm, &mut paused_reference)
+                    .expect("runs");
+            assert_same(&idle, &idle_reference, &format!("{what}/idle"));
+            assert_eq!(paused.0, paused_reference.0, "{what}: idle epochs");
+            assert!(
+                paused.0 > SWAP_EPOCHS,
+                "{what}: only {} idle epochs",
+                paused.0
+            );
+            let plain = run_reference(&module, &test, &vm).expect("runs");
+            assert_same(&idle, &plain, &format!("{what}/idle vs unpaused"));
+            let rows = branch_reorder::vm::function_counters(&module, &idle);
+            assert!(
+                branch_reorder::vm::counters_match_stats(&rows, &idle.stats),
+                "{what}: function counters disagree with stats"
+            );
+            swapping_runs += usize::from(*fast_swaps > 0);
+            swaps += fast_swaps;
+        }
+    }
+    assert_eq!(swapping_runs, 17 * 4, "every run must swap mid-run");
+    assert!(swaps >= 6 * swapping_runs);
+}
+
+/// The matrix again with a stack no larger than the memory allocated up
+/// front, so no run ever grows its memory.
+#[test]
+fn engines_agree_on_all_workloads_with_a_small_stack() {
+    workload_matrix(1 << 12);
+}
+
+fn workload_matrix(stack_words: usize) {
+    let vm = matrix_vm(stack_words);
     for w in branch_reorder::workloads::all() {
         let train = w.training_input(2048);
         let test = w.test_input(2048);
