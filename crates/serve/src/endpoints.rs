@@ -19,6 +19,9 @@
 //! deterministic, so two requests that agree on those bytes have
 //! byte-identical responses, whether they sent a module by body or by
 //! hash; a warm daemon answers repeat traffic without touching the VM.
+//! A fresh response is answered before it reaches the directory: a
+//! [`ResponseStore`] keeps it in memory until its writer thread has
+//! persisted it.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -29,12 +32,13 @@ use br_reorder::profile::plan_ranges;
 use br_reorder::{
     detect_all, instrument_module, profiles_from_run, reorder_module, ReorderOptions,
 };
-use br_sweep::cache::{fnv1a, ArtifactCache, FORMAT_VERSION};
+use br_sweep::cache::{fnv1a, FORMAT_VERSION};
 use br_vm::{function_counters, pct_change, run, VmOptions};
 
 use crate::intern::ModuleIntern;
 use crate::metrics::Metrics;
 use crate::proto2::{self, code, kind, sec, BatchReply};
+use crate::store::ResponseStore;
 
 /// A handled request: the fields a `brs2` response frame carries.
 #[derive(Debug)]
@@ -87,7 +91,7 @@ type Sections<'a> = [(u8, &'a [u8])];
 
 /// The shared endpoint state: response cache, metrics, debug gating.
 pub struct Endpoints {
-    cache: ArtifactCache,
+    cache: ResponseStore,
     metrics: Arc<Metrics>,
     /// Content-addressed module intern table (`brs2` delta upload).
     pub intern: ModuleIntern,
@@ -114,12 +118,8 @@ impl Endpoints {
         cache_dir: Option<&std::path::Path>,
         metrics: Arc<Metrics>,
     ) -> std::io::Result<Endpoints> {
-        let cache = match cache_dir {
-            Some(dir) => ArtifactCache::at(dir)?,
-            None => ArtifactCache::disabled(),
-        };
         Ok(Endpoints {
-            cache,
+            cache: ResponseStore::new(cache_dir)?,
             metrics,
             intern: ModuleIntern::default(),
             debug_endpoints: false,
@@ -176,7 +176,7 @@ impl Endpoints {
                     return bad(format!("hash section id {id} must be exactly 8 bytes"));
                 };
                 let hash = u64::from_le_bytes(hash);
-                let body = self.intern.resolve(hash, &self.cache);
+                let body = self.intern.resolve(hash, self.cache.disk());
                 if body.is_none() {
                     missing.push(hash);
                 }
@@ -188,7 +188,7 @@ impl Endpoints {
             }
             if proto2::hash_of_body(id).is_some() {
                 if let Ok(text) = std::str::from_utf8(bytes) {
-                    self.intern.insert(text, &self.cache);
+                    self.intern.insert(text, self.cache.disk());
                 }
             }
             bodies.push(None);

@@ -54,6 +54,7 @@ pub mod metrics;
 pub mod pool;
 pub mod proto2;
 pub mod server;
+pub mod store;
 
 pub use loadgen::{run_loadgen, run_smoke, LoadgenConfig, LoadgenReport};
 pub use proto2::{Client2, Frame2, ModuleRef};

@@ -16,7 +16,7 @@
 //!   instruction count of the measured module, and the output bytes.
 //!
 //! Formats are line-oriented and human-inspectable on purpose: a cache
-//! directory full of `*.art` files doubles as a record of what the sweep
+//! directory tree of `*.art` files doubles as a record of what the sweep
 //! actually computed. Any parse failure is reported as `None` and the
 //! caller recomputes, so format evolution never corrupts results.
 

@@ -11,6 +11,11 @@
 //! Artifacts are small versioned text files (see [`crate::artifact`]);
 //! anything that fails to parse is treated as a miss and recomputed, so
 //! a stale or truncated cache can only cost time, never correctness.
+//! They fan out over 256 subdirectories named by the key's top byte
+//! (`ab/ab….art`). A lookup that misses takes its directory's lock, and
+//! a store holds it while it creates and renames, so in one flat
+//! directory every miss of a busy daemon would wait behind every store;
+//! with the fan-out it waits only for stores into its own subdirectory.
 
 use std::fs;
 use std::io;
@@ -84,7 +89,9 @@ impl ArtifactCache {
     }
 
     fn path(&self, key: u64) -> Option<PathBuf> {
-        self.dir.as_ref().map(|d| d.join(format!("{key:016x}.art")))
+        self.dir
+            .as_ref()
+            .map(|d| d.join(format!("{:02x}/{key:016x}.art", key >> 56)))
     }
 
     /// Look up an artifact; counts a hit or a miss.
@@ -112,7 +119,15 @@ impl ArtifactCache {
             std::process::id(),
             SEQ.fetch_add(1, Ordering::Relaxed)
         ));
-        if fs::write(&tmp, text).is_ok() && fs::rename(&tmp, &path).is_err() {
+        let mut written = fs::write(&tmp, text);
+        if matches!(&written, Err(e) if e.kind() == io::ErrorKind::NotFound) {
+            // First store into this key's subdirectory.
+            if let Some(shard) = path.parent() {
+                let _ = fs::create_dir_all(shard);
+            }
+            written = fs::write(&tmp, text);
+        }
+        if written.is_ok() && fs::rename(&tmp, &path).is_err() {
             let _ = fs::remove_file(&tmp);
         }
     }
@@ -165,6 +180,10 @@ mod tests {
         c.put(42, "hello\n");
         assert_eq!(c.get(42).as_deref(), Some("hello\n"));
         assert_eq!((c.hits(), c.misses()), (1, 1));
+        let top = 0xab12_3456_789a_bcde_u64;
+        c.put(top, "fanned out\n");
+        assert!(dir.join("ab").join(format!("{top:016x}.art")).is_file());
+        assert_eq!(c.get(top).as_deref(), Some("fanned out\n"));
         let _ = fs::remove_dir_all(&dir);
     }
 }

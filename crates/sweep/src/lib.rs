@@ -805,7 +805,11 @@ mod tests {
         // independent checker can catch it).
         let cache_dir = config.cache_dir.clone().expect("cache configured");
         let mut tampered = 0u64;
-        for entry in std::fs::read_dir(&cache_dir).expect("cache dir") {
+        let artifacts = std::fs::read_dir(&cache_dir)
+            .expect("cache dir")
+            .flat_map(|shard| std::fs::read_dir(shard.expect("dir entry").path()))
+            .flatten();
+        for entry in artifacts {
             let path = entry.expect("dir entry").path();
             let Ok(text) = std::fs::read_to_string(&path) else {
                 continue;

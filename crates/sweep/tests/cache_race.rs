@@ -106,13 +106,21 @@ fn two_handles_racing_on_one_directory_never_tear() {
     for key in 0..KEYS {
         assert_intact(key, &survivor.get(key).expect("entry survives"));
     }
-    for entry in std::fs::read_dir(&dir).expect("cache dir listing") {
-        let name = entry.expect("dir entry").file_name();
-        let name = name.to_string_lossy();
+    for shard in std::fs::read_dir(&dir).expect("cache dir listing") {
+        let shard = shard.expect("dir entry").path();
         assert!(
-            name.ends_with(".art"),
-            "leaked temporary file in cache dir: {name}"
+            shard.is_dir(),
+            "stray file in cache root: {}",
+            shard.display()
         );
+        for entry in std::fs::read_dir(&shard).expect("shard listing") {
+            let name = entry.expect("dir entry").file_name();
+            let name = name.to_string_lossy();
+            assert!(
+                name.ends_with(".art"),
+                "leaked temporary file in cache dir: {name}"
+            );
+        }
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
