@@ -175,7 +175,7 @@ pub fn check_motion(
                 Inst::Cmp { .. } => {
                     violations.push(MotionViolation::ExtraCompare { block: b, inst: i })
                 }
-                Inst::ProfileRanges { .. } | Inst::ProfileOutcomes { .. } => {
+                Inst::ProfileRanges { .. } => {
                     violations.push(MotionViolation::ProfileProbe { block: b, inst: i })
                 }
                 _ => {}
@@ -220,7 +220,7 @@ pub fn block_effects(f: &Function, b: BlockId) -> EffectSummary {
         match inst {
             Inst::Store { .. } => s.writes_memory = true,
             Inst::Call { .. } => s.calls = true,
-            Inst::ProfileRanges { .. } | Inst::ProfileOutcomes { .. } => s.profiles = true,
+            Inst::ProfileRanges { .. } => s.profiles = true,
             _ => {}
         }
         s.may_trap |= inst.may_trap();

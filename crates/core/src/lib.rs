@@ -62,7 +62,6 @@
 //! ```
 
 pub mod apply;
-pub mod common;
 pub mod decide;
 pub mod detect;
 pub mod dispatch;

@@ -7,15 +7,10 @@ use br_ir::{BlockId, FuncId, Module};
 use br_layout::{EdgeWeights, LayoutMode, LayoutParams};
 use br_vm::{Trap, VmOptions};
 
-use crate::common::{
-    apply_common_reordering, detect_common, expected_cost, select_common_order, CommonSeq,
-};
 use crate::decide::{commit, decide, Committed, Decision, Proof};
 use crate::detect::DetectedSequence;
 use crate::dispatch::DispatchStructure;
-use crate::order::{
-    evaluate_cost, exhaustive_ordering, select_ordering, OrderItem, Ordering, COST_EPSILON,
-};
+use crate::order::{evaluate_cost, exhaustive_ordering, select_ordering, OrderItem, Ordering};
 use crate::profile::{
     detect_all, instrument_module, order_items, profiles_from_run, SequenceProfile,
 };
@@ -29,10 +24,6 @@ pub struct ReorderOptions {
     /// Use the exhaustive ordering search instead of the paper's greedy
     /// selection (the paper implemented both; an ablation knob here).
     pub exhaustive: bool,
-    /// Also reorder branch sequences with a common successor (the
-    /// paper's Section 10 extension). Off by default, matching the
-    /// paper's evaluation, which covers range conditions only.
-    pub common_successor: bool,
     /// Replace the training profile with the static uniform-domain
     /// heuristic (no training run is consulted) — the Spuler-style
     /// baseline the paper cites, as an ablation of the value of real
@@ -149,20 +140,9 @@ impl std::fmt::Display for SequenceOutcome {
     }
 }
 
-/// Which transformation a record belongs to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SequenceKind {
-    /// A range-condition sequence (the paper's core transformation).
-    RangeConditions,
-    /// A common-successor sequence (the Section 10 extension).
-    CommonSuccessor,
-}
-
 /// Per-sequence record in the report.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SequenceRecord {
-    /// Which transformation detected the sequence.
-    pub kind: SequenceKind,
     /// Which dispatch structure was deployed ([`DispatchStructure::Chain`]
     /// unless Set IV selected a tree or a table for this sequence).
     pub structure: DispatchStructure,
@@ -264,22 +244,14 @@ pub fn reorder_module_with_inputs(
     options: &ReorderOptions,
 ) -> Result<ReorderReport, Trap> {
     let detections = detect_all(optimized);
-    // Common-successor sequences may not overlap range sequences; the
-    // range transformation has priority (it is the paper's evaluation).
-    let common_detections: Vec<(FuncId, CommonSeq)> = if options.common_successor {
-        detect_all_common(optimized, &detections)
-    } else {
-        Vec::new()
-    };
     // Pass 1: instrumented executable + one training run per input,
     // with counters summed.
     let mut instrumented = optimized.clone();
     let ids = instrument_module(&mut instrumented, &detections);
-    let common_ids = instrument_common(&mut instrumented, &common_detections);
     let mut merged: Vec<Vec<u64>> = instrumented
         .profile_plans
         .iter()
-        .map(|p| vec![0; p.counter_count()])
+        .map(|p| vec![0; p.ranges.len()])
         .collect();
     for input in training_inputs {
         let outcome = br_vm::run(&instrumented, input, &options.vm)?;
@@ -307,7 +279,6 @@ pub fn reorder_module_with_inputs(
             .then(|| crate::profile::static_profile(seq));
         let profile = static_prof.as_ref().unwrap_or(trained);
         let mut record = SequenceRecord {
-            kind: SequenceKind::RangeConditions,
             structure: DispatchStructure::Chain,
             func: *fid,
             head: seq.head,
@@ -338,40 +309,6 @@ pub fn reorder_module_with_inputs(
                     }
                     Err(failure) => summary.failures.push(failure),
                 }
-            }
-        }
-        sequences.push(record);
-    }
-    // Phase 2b: common-successor sequences (Section 10 extension).
-    for ((fid, seq), seq_id) in common_detections.iter().zip(&common_ids) {
-        let counts = &merged[seq_id.index()];
-        let total: u64 = counts.iter().sum();
-        let mut record = SequenceRecord {
-            kind: SequenceKind::CommonSuccessor,
-            structure: DispatchStructure::Chain,
-            func: *fid,
-            head: seq.head,
-            original_branches: seq.conds.len() as u32,
-            conditions: seq.conds.len(),
-            training_executions: total,
-            outcome: SequenceOutcome::NeverExecuted,
-        };
-        if total > 0 {
-            let identity: Vec<usize> = (0..seq.conds.len()).collect();
-            let original_cost = expected_cost(&seq.conds, counts, &identity);
-            let order = select_common_order(&seq.conds, counts);
-            let new_cost = expected_cost(&seq.conds, counts, &order);
-            if new_cost + COST_EPSILON < original_cost {
-                let f = module.function_mut(*fid);
-                let applied = apply_common_reordering(f, seq, &order);
-                record.outcome = SequenceOutcome::Reordered {
-                    new_branches: applied.branches,
-                    new_compares: applied.branches,
-                    original_cost,
-                    new_cost,
-                };
-            } else {
-                record.outcome = SequenceOutcome::NoImprovement;
             }
         }
         sequences.push(record);
@@ -461,55 +398,6 @@ fn exttsp_layout(
         }
     }
     Ok(())
-}
-
-/// Detect common-successor sequences in every function, excluding blocks
-/// already claimed by range-condition sequences.
-fn detect_all_common(
-    module: &Module,
-    range_detections: &[(FuncId, DetectedSequence)],
-) -> Vec<(FuncId, CommonSeq)> {
-    let mut out = Vec::new();
-    for (i, f) in module.functions.iter().enumerate() {
-        let fid = FuncId(i as u32);
-        let mut exclude = std::collections::HashSet::new();
-        for (dfid, seq) in range_detections {
-            if *dfid == fid {
-                exclude.insert(seq.head);
-                for c in &seq.conds {
-                    exclude.extend(c.blocks.iter().copied());
-                }
-            }
-        }
-        for seq in detect_common(f, &exclude) {
-            out.push((fid, seq));
-        }
-    }
-    out
-}
-
-/// Insert joint-outcome probes for common-successor sequences.
-fn instrument_common(module: &mut Module, detections: &[(FuncId, CommonSeq)]) -> Vec<br_ir::SeqId> {
-    let mut ids = Vec::with_capacity(detections.len());
-    for (fid, seq) in detections {
-        let seq_id = module.add_profile_plan(br_ir::ProfilePlan {
-            func: *fid,
-            head: seq.head,
-            kind: br_ir::PlanKind::Outcomes(seq.conds.len()),
-        });
-        let head = module.function_mut(*fid).block_mut(seq.head);
-        let at = head.insts.len() - 1;
-        debug_assert!(matches!(head.insts[at], br_ir::Inst::Cmp { .. }));
-        head.insts.insert(
-            at,
-            br_ir::Inst::ProfileOutcomes {
-                seq: seq_id,
-                conds: seq.conds.iter().map(|c| (c.lhs, c.rhs, c.cond)).collect(),
-            },
-        );
-        ids.push(seq_id);
-    }
-    ids
 }
 
 /// A per-sequence ordering plan computed from one profile: the order
@@ -806,142 +694,6 @@ mod tests {
                 assert!(new_cost < original_cost);
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod common_successor_tests {
-    use super::*;
-    use br_minic::{compile, Options};
-    use br_vm::run;
-
-    /// Short-circuit `&&`/`||` chains over different variables: the
-    /// Section 10 shape (the range machinery cannot touch these).
-    const COMMON: &str = "
-        int main() {
-            int c; int parity; int run; int hits;
-            parity = 0; run = 0; hits = 0;
-            c = getchar();
-            while (c != -1) {
-                parity = (parity + c) % 97;
-                run = (run * 3 + 1) % 31;
-                if (parity > 90 && run > 25 && c > 120) hits += 1;
-                if (parity < 3 || run < 2 || c < 8) hits += 1000;
-                c = getchar();
-            }
-            putint(hits);
-            return parity + run;
-        }";
-
-    fn build() -> Module {
-        let mut m = compile(COMMON, &Options::default()).expect("compiles");
-        br_opt::optimize(&mut m);
-        m
-    }
-
-    fn bytes(n: usize, seed: u64) -> Vec<u8> {
-        let mut x = seed | 1;
-        (0..n)
-            .map(|_| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                (x % 127) as u8
-            })
-            .collect()
-    }
-
-    #[test]
-    fn common_successor_sequences_are_detected_and_reordered() {
-        let m = build();
-        let opts = ReorderOptions {
-            common_successor: true,
-            ..ReorderOptions::default()
-        };
-        let report = reorder_module(&m, &bytes(4096, 5), &opts).unwrap();
-        br_ir::verify_module(&report.module).unwrap();
-        let common: Vec<_> = report
-            .sequences
-            .iter()
-            .filter(|s| s.kind == SequenceKind::CommonSuccessor)
-            .collect();
-        assert!(!common.is_empty(), "no common-successor sequences found");
-        assert!(
-            common
-                .iter()
-                .any(|s| matches!(s.outcome, SequenceOutcome::Reordered { .. })),
-            "none reordered: {common:?}"
-        );
-    }
-
-    #[test]
-    fn common_successor_preserves_behaviour_and_counts() {
-        let m = build();
-        let opts = ReorderOptions {
-            common_successor: true,
-            ..ReorderOptions::default()
-        };
-        let train = bytes(4096, 5);
-        let test = bytes(6000, 77);
-        let report = reorder_module(&m, &train, &opts).unwrap();
-        let base = run(&m, &test, &VmOptions::default()).unwrap();
-        let new = run(&report.module, &test, &VmOptions::default()).unwrap();
-        assert_eq!(base.exit, new.exit);
-        assert_eq!(base.output, new.output);
-        // The chains' conditions are rarely satisfied in their leading
-        // positions, so reordering should pay off on like-distributed
-        // input.
-        assert!(
-            new.stats.insts <= base.stats.insts,
-            "common-successor reordering pessimized: {} -> {}",
-            base.stats.insts,
-            new.stats.insts
-        );
-    }
-
-    #[test]
-    fn disabled_by_default() {
-        let m = build();
-        let report = reorder_module(&m, &bytes(2048, 5), &ReorderOptions::default()).unwrap();
-        assert!(report
-            .sequences
-            .iter()
-            .all(|s| s.kind == SequenceKind::RangeConditions));
-    }
-
-    #[test]
-    fn range_sequences_have_priority_over_common() {
-        // A chain on a single variable matches BOTH patterns; it must be
-        // claimed by the range transformation only.
-        let src = "
-            int main() {
-                int c; int hits; hits = 0;
-                c = getchar();
-                while (c != -1) {
-                    if (c == 10 || c == 32 || c == 9) hits += 1;
-                    c = getchar();
-                }
-                putint(hits);
-                return 0;
-            }";
-        let mut m = compile(src, &Options::default()).unwrap();
-        br_opt::optimize(&mut m);
-        let opts = ReorderOptions {
-            common_successor: true,
-            ..ReorderOptions::default()
-        };
-        let report = reorder_module(&m, &bytes(2048, 9), &opts).unwrap();
-        let range_count = report
-            .sequences
-            .iter()
-            .filter(|s| s.kind == SequenceKind::RangeConditions)
-            .count();
-        assert!(range_count >= 1);
-        // Behaviour must hold regardless.
-        let test = bytes(3000, 11);
-        let base = run(&m, &test, &VmOptions::default()).unwrap();
-        let new = run(&report.module, &test, &VmOptions::default()).unwrap();
-        assert_eq!(base.output, new.output);
     }
 }
 

@@ -104,7 +104,7 @@ pub fn instrument_module(
         let seq_id = module.add_profile_plan(ProfilePlan {
             func: *fid,
             head: seq.head,
-            kind: br_ir::PlanKind::Ranges(ranges),
+            ranges,
         });
         let head = module.function_mut(*fid).block_mut(seq.head);
         // The compare is the final instruction; probe right before it.

@@ -316,15 +316,6 @@ pub enum Inst {
     /// cost; exists only in instrumented builds (the paper's profiling
     /// pass). See [`crate::ProfilePlan`].
     ProfileRanges { seq: SeqId, var: Reg },
-    /// Profiling probe for a common-successor sequence: evaluate every
-    /// listed condition and bump the counter indexed by the bitmask of
-    /// outcomes (bit `i` set when condition `i` holds). Conditions are
-    /// pure register/immediate compares, so early evaluation is safe.
-    /// Free of architectural cost. See [`crate::PlanKind::Outcomes`].
-    ProfileOutcomes {
-        seq: SeqId,
-        conds: Vec<(Operand, Operand, Cond)>,
-    },
 }
 
 impl Inst {
@@ -337,10 +328,7 @@ impl Inst {
             | Inst::Load { dst, .. }
             | Inst::FrameAddr { dst, .. } => Some(*dst),
             Inst::Call { dst, .. } => *dst,
-            Inst::Cmp { .. }
-            | Inst::Store { .. }
-            | Inst::ProfileRanges { .. }
-            | Inst::ProfileOutcomes { .. } => None,
+            Inst::Cmp { .. } | Inst::Store { .. } | Inst::ProfileRanges { .. } => None,
         }
     }
 
@@ -379,12 +367,6 @@ impl Inst {
                 }
             }
             Inst::ProfileRanges { var, .. } => out.push(*var),
-            Inst::ProfileOutcomes { conds, .. } => {
-                for (lhs, rhs, _) in conds {
-                    push(lhs);
-                    push(rhs);
-                }
-            }
         }
         out
     }
@@ -401,10 +383,7 @@ impl Inst {
     /// load/store ordering intact.
     pub fn has_side_effect(&self) -> bool {
         match self {
-            Inst::Store { .. }
-            | Inst::Call { .. }
-            | Inst::ProfileRanges { .. }
-            | Inst::ProfileOutcomes { .. } => true,
+            Inst::Store { .. } | Inst::Call { .. } | Inst::ProfileRanges { .. } => true,
             Inst::Copy { .. }
             | Inst::Bin { .. }
             | Inst::Un { .. }

@@ -52,7 +52,7 @@ pub use builder::FuncBuilder;
 pub use cfg::{postorder, predecessors, reachable, reverse_postorder};
 pub use function::{Block, BlockId, Function};
 pub use inst::{BinOp, Callee, Cond, Inst, Intrinsic, Operand, Reg, Terminator, UnOp};
-pub use module::{FuncId, GlobalData, Module, PlanKind, ProfilePlan, SeqId};
+pub use module::{FuncId, GlobalData, Module, ProfilePlan, SeqId};
 pub use parse::{parse_module, ParseIrError};
 pub use print::{print_function, print_module, write_function};
 pub use verify::{

@@ -53,51 +53,27 @@ pub struct GlobalData {
     pub size: u32,
 }
 
-/// What a profiling probe records.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum PlanKind {
-    /// One counter per inclusive `(lo, hi)` range; together the ranges
-    /// must cover all of `i64::MIN..=i64::MAX` and be pairwise disjoint.
-    /// Used for range-condition sequences (the paper's Section 5).
-    Ranges(Vec<(i64, i64)>),
-    /// Joint-outcome counters for a chain of `n` conditions: counter
-    /// index is the bitmask of branch outcomes, `2^n` counters in all.
-    /// Used for common-successor sequences (the paper's Section 10,
-    /// which proposes exactly this array of combination counters).
-    Outcomes(usize),
-}
-
 /// The values instrumented for one reorderable branch sequence.
 ///
 /// The paper inserts all profiling code at the head of a sequence. A
-/// [`crate::Inst::ProfileRanges`] or [`crate::Inst::ProfileOutcomes`]
-/// probe refers to one of these plans; the interpreter bumps the matching
-/// counter.
+/// [`crate::Inst::ProfileRanges`] probe refers to one of these plans; the
+/// interpreter bumps the counter of the range holding the probed value.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ProfilePlan {
     /// Function the sequence lives in (for diagnostics).
     pub func: FuncId,
     /// Block of the sequence head at instrumentation time (diagnostics).
     pub head: BlockId,
-    /// What the probe records.
-    pub kind: PlanKind,
+    /// One counter per inclusive `(lo, hi)` range; together the ranges
+    /// must cover all of `i64::MIN..=i64::MAX` and be pairwise disjoint
+    /// (the paper's Section 5).
+    pub ranges: Vec<(i64, i64)>,
 }
 
 impl ProfilePlan {
-    /// Number of counters this plan needs.
-    pub fn counter_count(&self) -> usize {
-        match &self.kind {
-            PlanKind::Ranges(ranges) => ranges.len(),
-            PlanKind::Outcomes(n) => 1usize << n,
-        }
-    }
-
-    /// Index of the range containing `v`, if any (ranges plans only).
+    /// Index of the range containing `v`, if any.
     pub fn range_containing(&self, v: i64) -> Option<usize> {
-        match &self.kind {
-            PlanKind::Ranges(ranges) => ranges.iter().position(|&(lo, hi)| lo <= v && v <= hi),
-            PlanKind::Outcomes(_) => None,
-        }
+        self.ranges.iter().position(|&(lo, hi)| lo <= v && v <= hi)
     }
 }
 
@@ -190,32 +166,23 @@ impl Module {
 
 /// Debug-time validation of a profiling plan.
 fn id_plan_check(plan: ProfilePlan) -> ProfilePlan {
-    match &plan.kind {
-        PlanKind::Ranges(ranges) => {
-            debug_assert!(
-                {
-                    let mut sorted = ranges.clone();
-                    sorted.sort_unstable();
-                    let covers = !sorted.is_empty()
-                        && sorted[0].0 == i64::MIN
-                        && sorted.last().unwrap().1 == i64::MAX;
-                    let contiguous = sorted.windows(2).all(|w| {
-                        let (_, hi) = w[0];
-                        let (lo, _) = w[1];
-                        hi < lo && hi + 1 == lo
-                    });
-                    covers && contiguous
-                },
-                "profile plan ranges must partition the value space: {ranges:?}",
-            );
-        }
-        PlanKind::Outcomes(n) => {
-            debug_assert!(
-                (1..=16).contains(n),
-                "outcome plans support 1..=16 conditions, got {n}"
-            );
-        }
-    }
+    debug_assert!(
+        {
+            let mut sorted = plan.ranges.clone();
+            sorted.sort_unstable();
+            let covers = !sorted.is_empty()
+                && sorted[0].0 == i64::MIN
+                && sorted.last().unwrap().1 == i64::MAX;
+            let contiguous = sorted.windows(2).all(|w| {
+                let (_, hi) = w[0];
+                let (lo, _) = w[1];
+                hi < lo && hi + 1 == lo
+            });
+            covers && contiguous
+        },
+        "profile plan ranges must partition the value space: {:?}",
+        plan.ranges,
+    );
     plan
 }
 
@@ -245,7 +212,7 @@ mod tests {
         let plan = ProfilePlan {
             func: FuncId(0),
             head: BlockId(0),
-            kind: PlanKind::Ranges(vec![(i64::MIN, -1), (0, 9), (10, i64::MAX)]),
+            ranges: vec![(i64::MIN, -1), (0, 9), (10, i64::MAX)],
         };
         assert_eq!(plan.range_containing(-5), Some(0));
         assert_eq!(plan.range_containing(0), Some(1));

@@ -7,7 +7,7 @@ use std::fmt;
 
 use crate::function::{Block, BlockId, Function};
 use crate::inst::{BinOp, Callee, Cond, Inst, Intrinsic, Operand, Reg, Terminator, UnOp};
-use crate::module::{FuncId, GlobalData, Module, PlanKind, ProfilePlan, SeqId};
+use crate::module::{FuncId, GlobalData, Module, ProfilePlan, SeqId};
 
 /// A textual-IR parse error with its 1-based line number.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -35,6 +35,7 @@ pub fn parse_module(text: &str) -> Result<Module, ParseIrError> {
     Parser {
         lines: text.lines().collect(),
         at: 0,
+        line: 0,
     }
     .module()
 }
@@ -42,12 +43,14 @@ pub fn parse_module(text: &str) -> Result<Module, ParseIrError> {
 struct Parser<'t> {
     lines: Vec<&'t str>,
     at: usize,
+    /// 1-based number of the line last peeked at, which errors name.
+    line: usize,
 }
 
 impl<'t> Parser<'t> {
     fn err(&self, message: impl Into<String>) -> ParseIrError {
         ParseIrError {
-            line: self.at + 1,
+            line: self.line,
             message: message.into(),
         }
     }
@@ -56,7 +59,9 @@ impl<'t> Parser<'t> {
         while self.at < self.lines.len() && self.lines[self.at].trim().is_empty() {
             self.at += 1;
         }
-        self.lines.get(self.at).map(|l| l.trim())
+        let line = self.lines.get(self.at)?;
+        self.line = self.at + 1;
+        Some(line.trim())
     }
 
     fn bump(&mut self) -> Option<&'t str> {
@@ -124,7 +129,7 @@ impl<'t> Parser<'t> {
     }
 
     fn plan(&self, rest: &str) -> Result<ProfilePlan, ParseIrError> {
-        // seqN func=F head=B ranges=[lo..hi, ...] | outcomes=N
+        // seqN func=F head=B ranges=[lo..hi, ...]
         let fields: Vec<&str> = rest.split_whitespace().collect();
         let get =
             |prefix: &str| -> Option<&str> { fields.iter().find_map(|f| f.strip_prefix(prefix)) };
@@ -134,32 +139,28 @@ impl<'t> Parser<'t> {
         let head: u32 = get("head=")
             .and_then(|s| s.parse().ok())
             .ok_or_else(|| self.err("plan missing head"))?;
-        let kind = if let Some(n) = get("outcomes=") {
-            PlanKind::Outcomes(n.parse().map_err(|_| self.err("bad outcomes"))?)
-        } else if let Some(start) = rest.find("ranges=[") {
-            let body = rest[start + "ranges=[".len()..]
-                .trim_end_matches(']')
-                .trim();
-            let mut ranges = Vec::new();
-            if !body.is_empty() {
-                for r in body.split(", ") {
-                    let (lo, hi) = r
-                        .split_once("..")
-                        .ok_or_else(|| self.err("bad range in plan"))?;
-                    ranges.push((
-                        lo.parse().map_err(|_| self.err("bad range lo"))?,
-                        hi.parse().map_err(|_| self.err("bad range hi"))?,
-                    ));
-                }
+        let start = rest
+            .find("ranges=[")
+            .ok_or_else(|| self.err("plan missing ranges"))?;
+        let body = rest[start + "ranges=[".len()..]
+            .trim_end_matches(']')
+            .trim();
+        let mut ranges = Vec::new();
+        if !body.is_empty() {
+            for r in body.split(", ") {
+                let (lo, hi) = r
+                    .split_once("..")
+                    .ok_or_else(|| self.err("bad range in plan"))?;
+                ranges.push((
+                    lo.parse().map_err(|_| self.err("bad range lo"))?,
+                    hi.parse().map_err(|_| self.err("bad range hi"))?,
+                ));
             }
-            PlanKind::Ranges(ranges)
-        } else {
-            return Err(self.err("plan missing ranges/outcomes"));
-        };
+        }
         Ok(ProfilePlan {
             func: FuncId(func),
             head: BlockId(head),
-            kind,
+            ranges,
         })
     }
 
@@ -410,37 +411,6 @@ impl<'t> Parser<'t> {
                 let var = self.reg(args.get(1).ok_or_else(|| self.err("profile var"))?)?;
                 Ok(Inst::ProfileRanges { seq, var })
             }
-            "profile-outcomes" => {
-                // profile-outcomes seqN [a OP b, ...]
-                let (seq_s, body) = rest
-                    .split_once('[')
-                    .ok_or_else(|| self.err("profile-outcomes list"))?;
-                let seq = seq_s
-                    .trim()
-                    .strip_prefix("seq")
-                    .and_then(|s| s.parse().ok())
-                    .map(SeqId)
-                    .ok_or_else(|| self.err("profile-outcomes seq"))?;
-                let body = body.trim_end_matches(']');
-                let mut conds = Vec::new();
-                for part in body.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-                    let words: Vec<&str> = part.split_whitespace().collect();
-                    if words.len() != 3 {
-                        return Err(self.err("bad outcome condition"));
-                    }
-                    let cond = match words[1] {
-                        "beq" => Cond::Eq,
-                        "bne" => Cond::Ne,
-                        "blt" => Cond::Lt,
-                        "ble" => Cond::Le,
-                        "bgt" => Cond::Gt,
-                        "bge" => Cond::Ge,
-                        other => return Err(self.err(format!("bad cond `{other}`"))),
-                    };
-                    conds.push((self.operand(words[0])?, self.operand(words[2])?, cond));
-                }
-                Ok(Inst::ProfileOutcomes { seq, conds })
-            }
             other => Err(self.err(format!("unknown mnemonic `{other}`"))),
         }
     }
@@ -550,7 +520,7 @@ mod tests {
         m.add_profile_plan(ProfilePlan {
             func: FuncId(0),
             head: BlockId(0),
-            kind: PlanKind::Ranges(vec![(i64::MIN, -1), (0, i64::MAX)]),
+            ranges: vec![(i64::MIN, -1), (0, i64::MAX)],
         });
         m
     }
@@ -579,9 +549,23 @@ mod tests {
     #[test]
     fn errors_carry_line_numbers() {
         let e = parse_module("func broken( regs=0 frame=0 {\n}").unwrap_err();
-        assert!(e.line <= 2, "{e}");
+        assert_eq!(e.line, 1, "{e}");
         let e = parse_module("nonsense").unwrap_err();
         assert!(e.message.contains("unexpected"));
+        // The joint-outcome probe and its plan are not IR.
+        let e = parse_module("plan seq0 func=0 head=0 outcomes=2\n").unwrap_err();
+        assert_eq!(
+            (e.line, e.message.as_str()),
+            (1, "plan missing ranges"),
+            "{e}"
+        );
+        let text = "func f(r0) regs=1 frame=0 {\nb0: ; entry\n    profile-outcomes seq0 [r0 beq 1]\n    ret\n}\n";
+        let e = parse_module(text).unwrap_err();
+        assert_eq!(e.line, 3, "{e}");
+        assert!(
+            e.message.contains("unknown mnemonic `profile-outcomes`"),
+            "{e}"
+        );
     }
 
     #[test]
@@ -595,49 +579,6 @@ mod tests {
                 base: Operand::Reg(Reg(0)),
                 index: Operand::Imm(-3)
             }
-        );
-    }
-}
-
-#[cfg(test)]
-mod outcome_probe_tests {
-    use super::*;
-    use crate::builder::FuncBuilder;
-    use crate::print::print_module;
-
-    #[test]
-    fn profile_outcomes_round_trip() {
-        let mut m = Module::new();
-        let mut b = FuncBuilder::new("main");
-        let x = b.new_reg();
-        let y = b.new_reg();
-        b.set_param_regs(vec![x, y]);
-        let e = b.entry();
-        b.push(
-            e,
-            Inst::ProfileOutcomes {
-                seq: SeqId(0),
-                conds: vec![
-                    (Operand::Reg(Reg(0)), Operand::Imm(5), Cond::Lt),
-                    (Operand::Reg(Reg(1)), Operand::Reg(Reg(0)), Cond::Eq),
-                ],
-            },
-        );
-        b.cmp(e, x, 0i64);
-        b.set_term(e, Terminator::branch(Cond::Eq, BlockId(0), BlockId(0)));
-        m.main = Some(m.add_function(b.finish()));
-        m.add_profile_plan(ProfilePlan {
-            func: FuncId(0),
-            head: BlockId(0),
-            kind: PlanKind::Outcomes(2),
-        });
-        let text = print_module(&m);
-        let parsed = parse_module(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
-        assert_eq!(print_module(&parsed), text);
-        assert_eq!(parsed.profile_plans, m.profile_plans);
-        assert_eq!(
-            parsed.functions[0].blocks[0].insts[0],
-            m.functions[0].blocks[0].insts[0]
         );
     }
 }

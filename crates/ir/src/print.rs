@@ -68,15 +68,6 @@ fn write_inst(out: &mut String, inst: &Inst) {
             Ok(())
         }
         Inst::ProfileRanges { seq, var } => write!(out, "profile {seq:?}, {var}"),
-        Inst::ProfileOutcomes { seq, conds } => {
-            let _ = write!(out, "profile-outcomes {seq:?} [");
-            for (i, (l, r, c)) in conds.iter().enumerate() {
-                let sep = if i == 0 { "" } else { ", " };
-                let _ = write!(out, "{sep}{l} {} {r}", c.mnemonic());
-            }
-            out.push(']');
-            Ok(())
-        }
     };
 }
 
@@ -116,28 +107,18 @@ pub fn print_module(m: &Module) -> String {
         );
     }
     for (i, plan) in m.profile_plans.iter().enumerate() {
-        match &plan.kind {
-            crate::module::PlanKind::Ranges(ranges) => {
-                let rs: Vec<String> = ranges
-                    .iter()
-                    .map(|(lo, hi)| format!("{lo}..{hi}"))
-                    .collect();
-                let _ = writeln!(
-                    out,
-                    "plan seq{i} func={} head={} ranges=[{}]",
-                    plan.func.0,
-                    plan.head.0,
-                    rs.join(", ")
-                );
-            }
-            crate::module::PlanKind::Outcomes(n) => {
-                let _ = writeln!(
-                    out,
-                    "plan seq{i} func={} head={} outcomes={n}",
-                    plan.func.0, plan.head.0
-                );
-            }
-        }
+        let rs: Vec<String> = plan
+            .ranges
+            .iter()
+            .map(|(lo, hi)| format!("{lo}..{hi}"))
+            .collect();
+        let _ = writeln!(
+            out,
+            "plan seq{i} func={} head={} ranges=[{}]",
+            plan.func.0,
+            plan.head.0,
+            rs.join(", ")
+        );
     }
     if let Some(main) = m.main {
         let _ = writeln!(out, "main {main:?}");

@@ -130,48 +130,11 @@ pub fn verify_function_all(f: &Function, module: Option<&Module>) -> Vec<VerifyE
                     }
                 },
                 Inst::ProfileRanges { seq, .. } => {
+                    // A dangling probe verifies clean structurally but
+                    // indexes past the interpreter's counter tables.
                     if let Some(m) = module {
-                        match m.profile_plans.get(seq.index()) {
-                            None => push(Some(id), format!("unknown profile {seq:?}")),
-                            Some(plan) => {
-                                if !matches!(plan.kind, crate::module::PlanKind::Ranges(_)) {
-                                    push(
-                                        Some(id),
-                                        format!("ranges probe {seq:?} refers to an outcomes plan"),
-                                    );
-                                }
-                            }
-                        }
-                    }
-                }
-                Inst::ProfileOutcomes { seq, conds } => {
-                    // An unknown or mismatched outcomes probe passes a
-                    // naive structural check but makes the interpreter
-                    // index `2^conds.len()` counters into a plan that
-                    // allocated a different count — an out-of-bounds
-                    // panic at run time, not a verifier diagnostic.
-                    if let Some(m) = module {
-                        match m.profile_plans.get(seq.index()) {
-                            None => push(Some(id), format!("unknown profile {seq:?}")),
-                            Some(plan) => match plan.kind {
-                                crate::module::PlanKind::Outcomes(n) if n != conds.len() => {
-                                    push(
-                                        Some(id),
-                                        format!(
-                                            "outcomes probe {seq:?} has {} conditions, \
-                                             plan counts {n}",
-                                            conds.len()
-                                        ),
-                                    );
-                                }
-                                crate::module::PlanKind::Outcomes(_) => {}
-                                crate::module::PlanKind::Ranges(_) => {
-                                    push(
-                                        Some(id),
-                                        format!("outcomes probe {seq:?} refers to a ranges plan"),
-                                    );
-                                }
-                            },
+                        if m.profile_plans.get(seq.index()).is_none() {
+                            push(Some(id), format!("unknown profile {seq:?}"));
                         }
                     }
                 }
@@ -453,71 +416,34 @@ mod tests {
     }
 
     #[test]
-    fn rejects_unknown_and_mismatched_profile_outcomes_probes() {
-        // Regression test for a verifier over-acceptance surfaced while
-        // building the fuzzer's verify-every-module gate: only
-        // `ProfileRanges` probes were checked against the module's
-        // plans, so a module with a dangling or miscounted
-        // `ProfileOutcomes` probe verified clean and then panicked the
-        // interpreter with an out-of-bounds counter index.
-        use crate::inst::Operand;
-        use crate::module::{FuncId, PlanKind, ProfilePlan, SeqId};
+    fn rejects_a_dangling_profile_probe() {
+        // A probe whose seq id names no plan passes a naive structural
+        // check and then panics the interpreter with an out-of-bounds
+        // counter index.
+        use crate::module::{FuncId, ProfilePlan, SeqId};
 
-        let probe = |seq: u32, n_conds: usize| Inst::ProfileOutcomes {
-            seq: SeqId(seq),
-            conds: (0..n_conds)
-                .map(|_| (Operand::Imm(0), Operand::Imm(1), crate::inst::Cond::Lt))
-                .collect(),
-        };
-        let module_with = |plans: Vec<ProfilePlan>, inst: Inst| {
+        let module_with = |plans: Vec<ProfilePlan>| {
             let mut m = Module::new();
-            for p in plans {
-                m.profile_plans.push(p);
-            }
+            m.profile_plans = plans;
             let mut f = Function::new("main");
-            f.block_mut(f.entry).insts.push(inst);
+            f.num_regs = 1;
+            f.block_mut(f.entry).insts.push(Inst::ProfileRanges {
+                seq: SeqId(0),
+                var: Reg(0),
+            });
             m.main = Some(m.add_function(f));
             m
         };
-        let plan = |kind: PlanKind| ProfilePlan {
+
+        let e = verify_module(&module_with(vec![])).unwrap_err();
+        assert!(e.message.contains("unknown profile seq0"), "{e}");
+
+        let plan = ProfilePlan {
             func: FuncId(0),
             head: BlockId(0),
-            kind,
+            ranges: vec![(i64::MIN, i64::MAX)],
         };
-
-        // Dangling seq id: no plan at all.
-        let m = module_with(vec![], probe(0, 2));
-        let e = verify_module(&m).unwrap_err();
-        assert!(e.message.contains("unknown profile"), "{e}");
-
-        // Counter-count mismatch: probe evaluates 3 conditions, plan
-        // allocated 2^2 counters.
-        let m = module_with(vec![plan(PlanKind::Outcomes(2))], probe(0, 3));
-        let e = verify_module(&m).unwrap_err();
-        assert!(e.message.contains("plan counts 2"), "{e}");
-
-        // Kind mismatch in both directions.
-        let m = module_with(
-            vec![plan(PlanKind::Ranges(vec![(i64::MIN, i64::MAX)]))],
-            probe(0, 2),
-        );
-        let e = verify_module(&m).unwrap_err();
-        assert!(e.message.contains("refers to a ranges plan"), "{e}");
-        let m = module_with(
-            vec![plan(PlanKind::Outcomes(1))],
-            Inst::ProfileRanges {
-                seq: SeqId(0),
-                var: Reg(0),
-            },
-        );
-        let mut m = m;
-        m.function_mut(FuncId(0)).num_regs = 1;
-        let e = verify_module(&m).unwrap_err();
-        assert!(e.message.contains("refers to an outcomes plan"), "{e}");
-
-        // Matching probe and plan verify clean.
-        let m = module_with(vec![plan(PlanKind::Outcomes(2))], probe(0, 2));
-        assert_eq!(verify_module(&m), Ok(()));
+        assert_eq!(verify_module(&module_with(vec![plan])), Ok(()));
     }
 
     #[test]

@@ -53,9 +53,7 @@ pub fn propagate_copies(f: &mut Function) -> bool {
                 // Profiling probes must keep watching the original
                 // register: the probe's variable is not an Operand by
                 // design, so nothing to do.
-                Inst::FrameAddr { .. }
-                | Inst::ProfileRanges { .. }
-                | Inst::ProfileOutcomes { .. } => {}
+                Inst::FrameAddr { .. } | Inst::ProfileRanges { .. } => {}
             }
             if let Some(d) = inst.def() {
                 kill(&mut copies, d);

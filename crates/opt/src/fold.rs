@@ -51,9 +51,7 @@ pub fn fold_constants(f: &mut Function) -> bool {
                         subst(a, &consts, &mut changed);
                     }
                 }
-                Inst::FrameAddr { .. }
-                | Inst::ProfileRanges { .. }
-                | Inst::ProfileOutcomes { .. } => {}
+                Inst::FrameAddr { .. } | Inst::ProfileRanges { .. } => {}
             }
             // Fold fully-constant operations into copies.
             if let Inst::Bin {

@@ -332,12 +332,6 @@ fn rewrite_operands(inst: &mut Inst, map_use: &dyn Fn(Reg) -> Reg, map_def: &dyn
             }
         }
         Inst::ProfileRanges { var, .. } => *var = map_use(*var),
-        Inst::ProfileOutcomes { conds, .. } => {
-            for (l, r, _) in conds {
-                mop(l);
-                mop(r);
-            }
-        }
     }
 }
 

@@ -27,7 +27,6 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use br_ir::{parse_module, print_module, Module};
-use br_reorder::pipeline::SequenceKind;
 use br_reorder::profile::plan_ranges;
 use br_reorder::{
     detect_all, instrument_module, profiles_from_run, reorder_module, ReorderOptions,
@@ -291,7 +290,7 @@ fn module_section(sections: &Sections<'_>, id: u8) -> Result<Module, String> {
 }
 
 /// Reorder options from the optional `options` section: lines of
-/// `exhaustive|common|static|opttree 0|1`. Validation is not a knob — the
+/// `exhaustive|static|opttree 0|1`. Validation is not a knob — the
 /// service contract is that every response carries a verdict, and the
 /// pipeline runs in `certify` mode so every committed reordering also
 /// carries a proof certificate whose hash the response exposes.
@@ -315,7 +314,6 @@ fn parse_options(sections: &Sections<'_>) -> Result<ReorderOptions, String> {
         };
         match key {
             "exhaustive" => opts.exhaustive = on,
-            "common" => opts.common_successor = on,
             "static" => opts.static_heuristic = on,
             "opttree" => opts.opt_tree = on,
             _ => return Err(format!("unknown option {key:?}")),
@@ -338,12 +336,8 @@ fn reorder_endpoint(sections: &Sections<'_>) -> Result<Vec<u8>, String> {
 
     let mut sequences = String::new();
     for s in &report.sequences {
-        let kind = match s.kind {
-            SequenceKind::RangeConditions => "range",
-            SequenceKind::CommonSuccessor => "common",
-        };
         sequences.push_str(&format!(
-            "{kind} {} {} {} {} {} {} {}\n",
+            "{} {} {} {} {} {} {}\n",
             s.structure,
             s.func.0,
             s.head.0,

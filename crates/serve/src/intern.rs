@@ -15,8 +15,8 @@
 //! A hash that resolves nowhere is *not* an error at this layer: the
 //! endpoint turns it into a `need-module` response and the client
 //! re-uploads the body once. Every full body that passes through a
-//! shard is interned on sight, so `brs1` traffic also populates the
-//! table for later `brs2` clients.
+//! shard is interned on sight, so a client that sent the body once can
+//! refer to it by hash from then on.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};

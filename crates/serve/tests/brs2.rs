@@ -14,6 +14,8 @@
 //!   `code::PROTOCOL` error naming `brs2`, then a hang-up;
 //! * an oversized frame is answered with an error and the connection
 //!   stays usable, and so is a reply too large for one frame;
+//! * an unknown `options` line (the retired `common`, say) draws a
+//!   `bad_request` error naming it, and the connection stays usable;
 //! * admission control under deterministic saturation: a wedged
 //!   worker plus a full queue sheds exactly the overflow with the
 //!   `shed` code, and every accepted request completes within its
@@ -332,6 +334,41 @@ fn oversized_frames_are_answered_and_connection_stays_usable() {
     drop(stream);
 
     assert_eq!(counter(&addr, "oversized"), 1);
+    shutdown(&addr);
+    daemon.join().expect("daemon thread");
+}
+
+#[test]
+fn an_unknown_option_is_a_bad_request_and_connection_stays_usable() {
+    let (daemon, addr) = start_daemon(ServeConfig {
+        threads: 1,
+        cache_dir: None,
+        ..ServeConfig::default()
+    });
+    let (module_text, train) = workload_operands("wc", 512);
+    let mut client = Client2::connect(&addr).expect("connect");
+    let reorder = |options: &[u8]| {
+        Frame2::request(
+            kind::REORDER,
+            &[
+                (sec::MODULE, module_text.as_bytes()),
+                (sec::TRAIN, &train),
+                (sec::OPTIONS, options),
+            ],
+        )
+    };
+    // An option the service does not know, such as `common`, is refused.
+    let refused = client.call(&reorder(b"common 1")).expect("answered");
+    let text = refused.payload_text();
+    assert_eq!(
+        (refused.kind, refused.code),
+        (kind::ERROR, code::BAD_REQUEST),
+        "{text}"
+    );
+    assert!(text.contains("unknown option \"common\""), "{text}");
+    let ok = client.call(&reorder(b"exhaustive 1")).expect("answered");
+    assert_eq!(ok.kind, kind::OK, "{}", ok.payload_text());
+    drop(client);
     shutdown(&addr);
     daemon.join().expect("daemon thread");
 }

@@ -21,7 +21,7 @@
 //! caller recomputes, so format evolution never corrupts results.
 
 use br_ir::{parse_module, print_module, BlockId, FuncId};
-use br_reorder::pipeline::{SequenceKind, SequenceRecord};
+use br_reorder::pipeline::SequenceRecord;
 use br_reorder::{ReorderReport, SequenceCertificate, SequenceOutcome, ValidationSummary};
 use br_vm::{ExecStats, PredictorConfig, PredictorResult, Scheme};
 
@@ -71,12 +71,8 @@ pub fn write_reorder(report: &ReorderReport) -> String {
     let mut out = format!("reorder {}\n", crate::cache::FORMAT_VERSION);
     out.push_str(&format!("sequences {}\n", report.sequences.len()));
     for s in &report.sequences {
-        let kind = match s.kind {
-            SequenceKind::RangeConditions => "range",
-            SequenceKind::CommonSuccessor => "common",
-        };
         out.push_str(&format!(
-            "{kind} {} {} {} {} {} {} {}\n",
+            "{} {} {} {} {} {} {}\n",
             s.structure,
             s.func.0,
             s.head.0,
@@ -123,13 +119,8 @@ pub fn read_reorder(text: &str) -> Option<ReorderReport> {
     let mut sequences = Vec::with_capacity(n);
     for _ in 0..n {
         let line = lines.next()?;
-        // Seven fixed fields, then the outcome's own words.
-        let mut f = line.splitn(8, ' ');
-        let kind = match f.next()? {
-            "range" => SequenceKind::RangeConditions,
-            "common" => SequenceKind::CommonSuccessor,
-            _ => return None,
-        };
+        // Six fixed fields, then the outcome's own words.
+        let mut f = line.splitn(7, ' ');
         let structure = br_reorder::DispatchStructure::parse(f.next()?)?;
         let func = FuncId(f.next()?.parse().ok()?);
         let head = BlockId(f.next()?.parse().ok()?);
@@ -138,7 +129,6 @@ pub fn read_reorder(text: &str) -> Option<ReorderReport> {
         let training_executions = f.next()?.parse().ok()?;
         let outcome = SequenceOutcome::parse(f.next()?)?;
         sequences.push(SequenceRecord {
-            kind,
             structure,
             func,
             head,
@@ -401,7 +391,6 @@ mod tests {
             .iter()
             .enumerate()
             .map(|(i, outcome)| SequenceRecord {
-                kind: SequenceKind::RangeConditions,
                 structure: DispatchStructure::Chain,
                 func: FuncId(0),
                 head: BlockId(i as u32),

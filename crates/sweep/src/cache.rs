@@ -27,8 +27,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// (`v2`: reorder artifacts carry proof certificates. `v3`: sequence
 /// records carry the deployed dispatch structure — Set IV. `v4`: a
 /// sequence whose reordering was refused or refuted reads `refused
-/// STAGE`, no longer `never`.)
-pub const FORMAT_VERSION: &str = "v4";
+/// STAGE`, no longer `never`. `v5`: sequence records drop the leading
+/// kind word, which only ever read `range`.)
+pub const FORMAT_VERSION: &str = "v5";
 
 /// 64-bit FNV-1a over a sequence of length-delimited parts.
 ///

@@ -49,7 +49,7 @@
 //! replicas mid-run, and `crates/bench/benches/dispatch.rs` tracks the
 //! speedup.
 
-use br_ir::{BinOp, Callee, Cond, Inst, Intrinsic, Module, Operand, PlanKind, Terminator, UnOp};
+use br_ir::{BinOp, Callee, Cond, Inst, Intrinsic, Module, Operand, Terminator, UnOp};
 
 use crate::machine::{intrinsic_step, EpochHook, RunOutcome, VmOptions};
 use crate::memory::Memory;
@@ -166,17 +166,11 @@ enum Op {
         which: Intrinsic,
         args: Box<[Src]>,
     },
-    /// Range probe with its range table resolved at decode time (empty
-    /// for a joint-outcome plan, where [`br_ir::ProfilePlan::range_containing`]
-    /// always answers `None`).
+    /// Range probe with its range table resolved at decode time.
     ProfileRanges {
         seq: u32,
         var: u32,
         ranges: Box<[(i64, i64)]>,
-    },
-    ProfileOutcomes {
-        seq: u32,
-        conds: Box<[(Src, Src, Cond)]>,
     },
 }
 
@@ -334,10 +328,7 @@ impl Image {
                     let mut stores = 0u64;
                     let mut calls = 0u64;
                     for inst in &b.insts {
-                        if !matches!(
-                            inst,
-                            Inst::ProfileRanges { .. } | Inst::ProfileOutcomes { .. }
-                        ) {
+                        if !matches!(inst, Inst::ProfileRanges { .. }) {
                             body_insts += 1;
                         }
                         ops.push(match inst {
@@ -442,23 +433,10 @@ impl Image {
                                     },
                                 }
                             }
-                            Inst::ProfileRanges { seq, var } => {
-                                let ranges = match &module.profile_plans[seq.index()].kind {
-                                    PlanKind::Ranges(r) => r.clone().into_boxed_slice(),
-                                    PlanKind::Outcomes(_) => Box::default(),
-                                };
-                                Op::ProfileRanges {
-                                    seq: seq.0,
-                                    var: var.0,
-                                    ranges,
-                                }
-                            }
-                            Inst::ProfileOutcomes { seq, conds } => Op::ProfileOutcomes {
+                            Inst::ProfileRanges { seq, var } => Op::ProfileRanges {
                                 seq: seq.0,
-                                conds: conds
-                                    .iter()
-                                    .map(|(l, r, c)| (decode_src(*l), decode_src(*r), *c))
-                                    .collect(),
+                                var: var.0,
+                                ranges: module.profile_plans[seq.index()].ranges.clone().into(),
                             },
                         });
                     }
@@ -573,7 +551,7 @@ impl Image {
             counter_counts: module
                 .profile_plans
                 .iter()
-                .map(|p| p.counter_count())
+                .map(|p| p.ranges.len())
                 .collect(),
             count_slots,
             heads: module
@@ -1012,15 +990,6 @@ fn exec(
                     if let Some(idx) = ranges.iter().position(|&(lo, hi)| lo <= v && v <= hi) {
                         st.profiles[*seq as usize][idx] += 1;
                     }
-                }
-                Op::ProfileOutcomes { seq, conds } => {
-                    let mut mask = 0usize;
-                    for (i, (lhs, rhs, cond)) in conds.iter().enumerate() {
-                        if cond.eval(src(regs, *lhs), src(regs, *rhs)) {
-                            mask |= 1 << i;
-                        }
-                    }
-                    st.profiles[*seq as usize][mask] += 1;
                 }
             }
         }

@@ -167,7 +167,7 @@ pub(crate) fn compute_layout(module: &Module) -> Layout {
             let real: Vec<&Inst> = b
                 .insts
                 .iter()
-                .filter(|i| !matches!(i, Inst::ProfileRanges { .. } | Inst::ProfileOutcomes { .. }))
+                .filter(|i| !matches!(i, Inst::ProfileRanges { .. }))
                 .collect();
             let fillable = match &b.term {
                 Terminator::Branch { .. } => {
@@ -314,7 +314,7 @@ fn new_state<'m>(module: &Module, input: &'m [u8], opts: &'m VmOptions) -> State
         profiles: module
             .profile_plans
             .iter()
-            .map(|p| vec![0; p.counter_count()])
+            .map(|p| vec![0; p.ranges.len()])
             .collect(),
         block_counts: module
             .functions
@@ -489,17 +489,6 @@ fn exec_function(
                     if let Some(idx) = plan.range_containing(v) {
                         state.profiles[seq.index()][idx] += 1;
                     }
-                }
-                Inst::ProfileOutcomes { seq, conds } => {
-                    // Joint-outcome probe: evaluate every (pure) compare
-                    // and bump the counter for the outcome bitmask.
-                    let mut mask = 0usize;
-                    for (i, (lhs, rhs, cond)) in conds.iter().enumerate() {
-                        if cond.eval(operand(&regs, *lhs), operand(&regs, *rhs)) {
-                            mask |= 1 << i;
-                        }
-                    }
-                    state.profiles[seq.index()][mask] += 1;
                 }
             }
         }
@@ -929,7 +918,7 @@ mod tests {
         m.add_profile_plan(br_ir::ProfilePlan {
             func: br_ir::FuncId(0),
             head: br_ir::BlockId(0),
-            kind: br_ir::PlanKind::Ranges(vec![(i64::MIN, 9), (10, 99), (100, i64::MAX)]),
+            ranges: vec![(i64::MIN, 9), (10, 99), (100, i64::MAX)],
         });
         let out = run(&m, b"", &VmOptions::default()).unwrap();
         assert_eq!(out.profiles, vec![vec![0, 1, 0]]);
@@ -1012,7 +1001,7 @@ mod epoch_tests {
         m.add_profile_plan(br_ir::ProfilePlan {
             func: br_ir::FuncId(0),
             head: BlockId(1),
-            kind: br_ir::PlanKind::Ranges(vec![(i64::MIN, i64::MAX)]),
+            ranges: vec![(i64::MIN, i64::MAX)],
         });
         m
     }

@@ -107,8 +107,8 @@
 //! * `--set I|II|III|IV` switch heuristics (default I)
 //! * `--layout off|greedy|exttsp` block-layout pass after reordering
 //!   (default greedy; `exttsp` is the profile-guided ext-TSP pass)
-//! * `--reorder`     run the profile-guided reordering pipeline
-//! * `--common`      also reorder common-successor sequences
+//! * `--reorder`     run the profile-guided reordering pipeline, certifying
+//!   every committed reordering (exit 1 if any proof fails)
 //! * `--no-opt`      skip conventional optimizations
 //! * `--stats`       print dynamic event counts
 //! * `--dump-ir`     print the final IR instead of running
@@ -130,7 +130,6 @@ struct Args {
     set: HeuristicSet,
     layout: LayoutMode,
     reorder: bool,
-    common: bool,
     no_opt: bool,
     stats: bool,
     dump_ir: bool,
@@ -141,7 +140,7 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: brc FILE.c [--input FILE] [--train FILE] [--set I|II|III|IV] \
-         [--reorder] [--common] [--no-opt] [--stats] [--dump-ir] [--from-ir]\n\
+         [--reorder] [--no-opt] [--stats] [--dump-ir] [--from-ir]\n\
        \x20      brc lint FILE.c [--set I|II|III|IV] [--from-ir] [--no-opt] [--deny CODE|all]...\n\
        \x20      brc validate FILE.c [--input FILE] [--train FILE] [--set I|II|III|IV]\n\
        \x20      brc validate --suite [--size N]\n\
@@ -278,8 +277,8 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Args {
     let mut train = None;
     let mut set = HeuristicSet::SET_I;
     let mut layout = LayoutMode::default();
-    let (mut reorder, mut common, mut no_opt, mut stats, mut dump_ir, mut from_ir) =
-        (false, false, false, false, false, false);
+    let (mut reorder, mut no_opt, mut stats, mut dump_ir, mut from_ir) =
+        (false, false, false, false, false);
     let mut trace = 0usize;
     while let Some(a) = argv.next() {
         match a.as_str() {
@@ -288,10 +287,6 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Args {
             "--set" => set = parse_set(argv.next()),
             "--layout" => layout = parse_layout(argv.next()),
             "--reorder" => reorder = true,
-            "--common" => {
-                reorder = true;
-                common = true;
-            }
             "--no-opt" => no_opt = true,
             "--stats" => stats = true,
             "--dump-ir" => dump_ir = true,
@@ -314,7 +309,6 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Args {
         set,
         layout,
         reorder,
-        common,
         no_opt,
         stats,
         dump_ir,
@@ -565,15 +559,17 @@ fn behavior(r: &Result<br_vm::RunOutcome, br_vm::Trap>) -> String {
 
 /// Run the pipeline on one module in certify mode; print the summary,
 /// re-check every emitted certificate with the independent checker, and
-/// optionally write the certificates to `emit_dir`. Returns whether
-/// everything held plus the number of certificates double-checked.
+/// optionally write the certificates to `emit_dir`. Every `Reordered`
+/// record must match exactly one accepted certificate by `(func, head)`,
+/// and no certificate may be left over. Returns whether everything held
+/// plus the `(covered, reordered)` record counts.
 fn certify_one(
     module: &Module,
     train: &[u8],
     label: &str,
     opt_tree: bool,
     emit_dir: Option<&std::path::Path>,
-) -> (bool, usize) {
+) -> (bool, usize, usize) {
     let opts = ReorderOptions {
         certify: true,
         opt_tree,
@@ -583,18 +579,18 @@ fn certify_one(
         Ok(r) => r,
         Err(t) => {
             println!("{label}: training run trapped: {t}");
-            return (false, 0);
+            return (false, 0, 0);
         }
     };
     let Some(summary) = report.validation else {
         println!("{label}: internal error: pipeline returned no validation summary");
-        return (false, 0);
+        return (false, 0, 0);
     };
     let mut ok = summary.is_clean();
-    let mut checked = 0usize;
+    let mut accepted = Vec::new();
     for c in &summary.certificates {
         match br_analysis::cert::check(&c.text) {
-            Ok(cc) if cc.sig == c.sig => checked += 1,
+            Ok(cc) if cc.sig == c.sig => accepted.push((c.func, c.head)),
             Ok(cc) => {
                 println!(
                     "{label}: [BR0301] certificate for f{}/b{} re-checked with \
@@ -625,13 +621,25 @@ fn certify_one(
             }
         }
     }
+    let reordered: Vec<_> = report
+        .sequences
+        .iter()
+        .filter(|s| matches!(s.outcome, SequenceOutcome::Reordered { .. }))
+        .map(|s| (s.func, s.head))
+        .collect();
+    let covered = reordered
+        .iter()
+        .filter(|&k| accepted.iter().filter(|&a| a == k).count() == 1)
+        .count();
     println!(
-        "{label}: {summary}; {checked}/{} independently re-checked \
-         (enumeration fallbacks: 0 — the prover is subsumption-only)",
-        summary.certificates.len()
+        "{label}: {summary}; {}/{} independently re-checked, {covered}/{} reordered \
+         sequences certified (enumeration fallbacks: 0 — the prover is subsumption-only)",
+        accepted.len(),
+        summary.certificates.len(),
+        reordered.len()
     );
-    ok &= checked == summary.certificates.len();
-    (ok, checked)
+    ok &= covered == reordered.len() && summary.certificates.len() == reordered.len();
+    (ok, covered, reordered.len())
 }
 
 /// `brc prove --suite` — certify every applied sequence over the 17
@@ -639,7 +647,7 @@ fn certify_one(
 /// certificate with the independent checker on the spot.
 fn cmd_prove_suite(size: usize) -> ! {
     let mut ok = true;
-    let mut certified = 0usize;
+    let (mut covered, mut reordered) = (0usize, 0usize);
     for (set_name, set) in [
         ("I", HeuristicSet::SET_I),
         ("II", HeuristicSet::SET_II),
@@ -649,15 +657,17 @@ fn cmd_prove_suite(size: usize) -> ! {
         for w in br_workloads::all() {
             let module = build_module(w.source, set, false, false);
             let label = format!("set {set_name} {}", w.name);
-            let (clean, checked) =
+            let (clean, c, r) =
                 certify_one(&module, &w.training_input(size), &label, set.opt_tree, None);
             ok &= clean;
-            certified += checked;
+            covered += c;
+            reordered += r;
         }
     }
     println!(
-        "prove suite: {certified} sequence(s) certified and independently re-checked \
-         across 17 workloads x 4 heuristic sets; 0 enumeration fallbacks"
+        "prove suite: {covered}/{reordered} reordered sequences certified and \
+         independently re-checked across 17 workloads x 4 heuristic sets; \
+         0 enumeration fallbacks"
     );
     exit(if ok { 0 } else { 1 })
 }
@@ -967,7 +977,7 @@ fn cmd_prove(argv: impl Iterator<Item = String>) -> ! {
         }
     }
     let train = args.train.as_deref().unwrap_or(&args.input);
-    let (ok, _) = certify_one(
+    let (ok, ..) = certify_one(
         &module,
         train,
         "prove",
@@ -1599,20 +1609,30 @@ fn main() {
     if args.reorder {
         let train = args.train.as_deref().unwrap_or(&args.input);
         let opts = ReorderOptions {
-            common_successor: args.common,
+            certify: true,
             opt_tree: args.set.opt_tree,
             layout: args.layout,
             ..ReorderOptions::default()
         };
         match reorder_module(&module, train, &opts) {
             Ok(report) => {
+                let summary = report.validation.unwrap_or_default();
                 if args.stats {
                     for s in &report.sequences {
+                        let cert = summary
+                            .certificates
+                            .iter()
+                            .find(|c| (c.func, c.head) == (s.func, s.head))
+                            .map_or(String::new(), |c| format!(" (cert {:016x})", c.sig));
                         eprintln!(
-                            "brc: sequence {:?}/{:?} ({:?}): {:?}",
-                            s.func, s.head, s.kind, s.outcome
+                            "brc: sequence {:?}/{:?}{cert}: {:?}",
+                            s.func, s.head, s.outcome
                         );
                     }
+                }
+                if !summary.is_clean() {
+                    eprintln!("brc: reordering failed certification: {summary}");
+                    exit(1);
                 }
                 module = report.module;
             }

@@ -3,10 +3,16 @@
 //! the same input, they must reorder the same sequences for every
 //! workload under every heuristic set, Set IV's trees and tables
 //! included.
+//!
+//! Every committed reordering is certified: in `certify` mode the
+//! pipeline's `Reordered` records and its proof certificates match one
+//! to one by `(func, head)`, and the independent checker accepts each
+//! certificate with the signature the prover reported.
 
 use branch_reorder::adaptive::{AdaptOptions, AdaptiveRuntime};
+use branch_reorder::analysis::cert;
 use branch_reorder::minic::{compile, HeuristicSet, Options};
-use branch_reorder::reorder::{reorder_module, ReorderOptions};
+use branch_reorder::reorder::{reorder_module, ReorderOptions, SequenceOutcome};
 
 #[test]
 fn pipeline_and_adaptive_deploy_the_same_sequences() {
@@ -17,7 +23,7 @@ fn pipeline_and_adaptive_deploy_the_same_sequences() {
             branch_reorder::opt::optimize(&mut module);
             let options = ReorderOptions {
                 opt_tree: set.opt_tree,
-                common_successor: false,
+                certify: true,
                 ..ReorderOptions::default()
             };
             let report = reorder_module(&module, &train, &options).expect("training runs");
@@ -30,6 +36,36 @@ fn pipeline_and_adaptive_deploy_the_same_sequences() {
             assert_eq!(rt.deployed_count(), report.reordered_count(), "{cell}");
             assert_eq!(rt.swaps(), report.reordered_count() as u64, "{cell}");
             assert_eq!(rt.aborted_swaps(), 0, "{cell}");
+
+            let summary = report.validation.as_ref().expect("certify mode reports");
+            assert!(summary.is_clean(), "{cell}: {summary}");
+            let mut reordered: Vec<(u32, u32)> = report
+                .sequences
+                .iter()
+                .filter(|s| matches!(s.outcome, SequenceOutcome::Reordered { .. }))
+                .map(|s| (s.func.0, s.head.0))
+                .collect();
+            let mut certified: Vec<(u32, u32)> = summary
+                .certificates
+                .iter()
+                .map(|c| {
+                    let key = (c.func.0, c.head.0);
+                    let checked = cert::check(&c.text)
+                        .unwrap_or_else(|e| panic!("{cell}: certificate {key:?} rejected: {e}"));
+                    assert_eq!(checked.sig, c.sig, "{cell}: certificate {key:?} sig");
+                    key
+                })
+                .collect();
+            reordered.sort_unstable();
+            certified.sort_unstable();
+            assert!(
+                reordered.windows(2).all(|w| w[0] != w[1]),
+                "{cell}: two records share a head: {reordered:?}"
+            );
+            assert_eq!(
+                certified, reordered,
+                "{cell}: certificates vs Reordered records"
+            );
         }
     }
 }

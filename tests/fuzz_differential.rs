@@ -157,30 +157,6 @@ fn instrumentation_is_transparent_on_random_programs() {
 }
 
 #[test]
-fn common_successor_extension_preserves_behaviour_on_random_programs() {
-    let cfg = SynthConfig::default();
-    for seed in 0..SEEDS {
-        let src = generate_program(seed, &cfg);
-        let (train, test) = inputs_for(seed);
-        let mut m = compile(&src, &Options::default()).unwrap();
-        branch_reorder::opt::optimize(&mut m);
-        let opts = ReorderOptions {
-            common_successor: true,
-            ..ReorderOptions::default()
-        };
-        let report = reorder_module(&m, &train, &opts)
-            .unwrap_or_else(|e| panic!("seed {seed}: training trapped: {e}\n{src}"));
-        branch_reorder::ir::verify_module(&report.module)
-            .unwrap_or_else(|e| panic!("seed {seed}: {e}\n{src}"));
-        let a = run(&m, &test, &VmOptions::default()).unwrap();
-        let b = run(&report.module, &test, &VmOptions::default())
-            .unwrap_or_else(|e| panic!("seed {seed}: reordered trapped: {e}\n{src}"));
-        assert_eq!(a.exit, b.exit, "seed {seed}\n{src}");
-        assert_eq!(a.output, b.output, "seed {seed}\n{src}");
-    }
-}
-
-#[test]
 fn ir_text_round_trips_on_random_programs() {
     use branch_reorder::ir::{parse_module, print_module};
     let cfg = SynthConfig::default();
